@@ -10,10 +10,8 @@
 //! be cross-checked between them.
 
 use setstream_core::SketchFamily;
-use setstream_distributed::network::{
-    collect_epoch, CollectionOptions, FaultSpec, LossyLink,
-};
-use setstream_distributed::{CollectionMetrics, Coordinator, Site, TransportMetrics};
+use setstream_distributed::network::{FaultSpec, LossyLink, MemCollector};
+use setstream_distributed::{Coordinator, Site, TransportMetrics, TransportOptions};
 use setstream_engine::{
     ChangeEvent, ExprReport, QualityConfig, QualityMonitor, QueryId, StreamEngine,
     SubscriptionOptions, Tolerance,
@@ -84,11 +82,9 @@ pub struct DemoStack {
     engine: StreamEngine,
     monitor: Arc<QualityMonitor>,
     coordinator: Arc<Coordinator>,
-    collection: Arc<CollectionMetrics>,
     transport: Arc<TransportMetrics>,
     sites: Vec<Site>,
-    links: Vec<LossyLink>,
-    opts: CollectionOptions,
+    collectors: Vec<MemCollector>,
     recorder: Arc<RingRecorder>,
     registry: Registry,
     union_q: QueryId,
@@ -145,7 +141,6 @@ impl DemoStack {
         let coordinator = Arc::new(
             Coordinator::new(family).with_trace(trace.clone(), "coordinator"),
         );
-        let collection = Arc::new(CollectionMetrics::new());
         let transport = Arc::new(TransportMetrics::new());
         let sites: Vec<Site> = (0..config.sites)
             .map(|i| {
@@ -159,9 +154,23 @@ impl DemoStack {
         } else {
             FaultSpec::reliable()
         };
-        let links: Vec<LossyLink> = (0..config.sites)
-            .map(|i| LossyLink::new(fault, config.seed ^ ((i as u64) << 32)))
-            .collect::<Result<_, _>>()
+        // The in-process sites speak the same protocol as remote ones,
+        // through seeded fault-injecting links into the coordinator.
+        let opts = TransportOptions::builder()
+            .max_attempts(64)
+            .build()
+            .map_err(|e| e.to_string())?;
+        let collectors: Vec<MemCollector> = (0..config.sites)
+            .map(|i| {
+                let link = LossyLink::new(fault, config.seed ^ ((i as u64) << 32))?;
+                Ok(MemCollector::new(
+                    Arc::clone(&coordinator),
+                    link,
+                    opts,
+                    Arc::clone(&transport),
+                ))
+            })
+            .collect::<Result<_, setstream_distributed::network::FaultSpecError>>()
             .map_err(|e| e.to_string())?;
 
         let registry = Registry::new();
@@ -169,7 +178,6 @@ impl DemoStack {
         registry.register(engine.subscription_metrics().clone());
         registry.register(monitor.clone());
         registry.register(coordinator.clone());
-        registry.register(collection.clone());
         registry.register(transport.clone());
         registry.register(recorder.clone());
 
@@ -179,11 +187,9 @@ impl DemoStack {
             engine,
             monitor,
             coordinator,
-            collection,
             transport,
             sites,
-            links,
-            opts: CollectionOptions::default(),
+            collectors,
             recorder,
             registry,
             union_q,
@@ -217,15 +223,10 @@ impl DemoStack {
         for (i, u) in batch.iter().enumerate() {
             self.sites[i % n_sites].observe(u);
         }
-        for i in 0..self.sites.len() {
-            let report = collect_epoch(
-                &mut self.sites[i],
-                &mut self.links[i],
-                &self.coordinator,
-                &self.opts,
-            )
-            .map_err(|e| format!("collection from site {i}: {e}"))?;
-            self.collection.record_report(&report);
+        for (site, collector) in self.sites.iter_mut().zip(&mut self.collectors) {
+            collector
+                .collect(site)
+                .map_err(|e| format!("collection from site {}: {e}", site.id()))?;
         }
         // The coordinator's delta frames say which streams the sites
         // touched this round; feed that into the engine's dirty set so
@@ -274,9 +275,10 @@ impl DemoStack {
         &self.coordinator
     }
 
-    /// The TCP transport counters (shared with any
-    /// [`setstream_distributed::transport`] servers the caller spawns on
-    /// this stack, so remote-site traffic lands in the same `/metrics`).
+    /// The collection transport counters: the in-process sites' traffic,
+    /// shared with any [`setstream_distributed::transport`] servers the
+    /// caller spawns on this stack, so remote-site traffic lands in the
+    /// same `/metrics`.
     pub fn transport_metrics(&self) -> &Arc<TransportMetrics> {
         &self.transport
     }

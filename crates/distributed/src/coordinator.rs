@@ -104,16 +104,6 @@ pub enum CoordinatorError {
 }
 
 impl CoordinatorError {
-    /// `true` for the epoch-accounting rejections that a cumulative
-    /// resync from the site will heal (retransmitting the same frame
-    /// cannot).
-    pub fn wants_resync(&self) -> bool {
-        matches!(
-            self,
-            CoordinatorError::StaleEpoch { .. } | CoordinatorError::EpochGap { .. }
-        )
-    }
-
     /// Snake-case reason label this rejection is counted under in
     /// `setstream_distributed_frames_rejected_total{reason=...}`.
     pub fn reason(&self) -> &'static str {

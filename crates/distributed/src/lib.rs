@@ -26,15 +26,18 @@
 //!   sealed crash-recovery checkpoints;
 //! * [`coordinator`] — watermark-guarded ingestion, merging, quarantine,
 //!   and (staleness-annotated) query answering;
-//! * [`network`] — a fault-injecting link plus the collection drivers
-//!   ([`network::deliver_reliably`], [`network::collect_epoch`]);
+//! * [`collector`] — the one collection client: credit window, per-epoch
+//!   acks, bounded retry, typed verdicts and the resync loop, generic
+//!   over a [`collector::Link`];
+//! * [`network`] — a seeded fault-injecting link and [`network::MemLink`],
+//!   the in-process transport ([`network::MemCollector`]);
 //! * [`metrics`] — always-on frame/rejection/collection counters
-//!   ([`metrics::CoordinatorMetrics`], [`metrics::CollectionMetrics`],
-//!   [`metrics::TransportMetrics`]), exported through [`setstream_obs`];
+//!   ([`metrics::CoordinatorMetrics`], [`metrics::TransportMetrics`]),
+//!   exported through [`setstream_obs`];
 //! * [`transport`] — real networked collection: a dependency-light
-//!   nonblocking TCP layer speaking SSWL frames, with credit-based flow
-//!   control, honest per-epoch acks, bounded buffers everywhere, and a
-//!   fault-injecting [`transport::FaultyListener`] proxy;
+//!   nonblocking TCP layer speaking SSWL frames ([`TcpCollector`]), the
+//!   ack-answering server side, and a fault-injecting
+//!   [`transport::FaultyListener`] proxy;
 //! * [`relay`] — intermediate aggregation: a relay merges its children's
 //!   delta frames (sketch linearity) and ships one compact delta per
 //!   (stream, epoch) upstream.
@@ -58,22 +61,26 @@
 //! ```
 //! use setstream_core::SketchFamily;
 //! use setstream_distributed::coordinator::Coordinator;
-//! use setstream_distributed::network::{collect_epoch, CollectionOptions, FaultSpec, LossyLink};
+//! use setstream_distributed::network::{FaultSpec, LossyLink, MemCollector};
 //! use setstream_distributed::site::Site;
+//! use setstream_distributed::{TransportMetrics, TransportOptions};
 //! use setstream_stream::{StreamId, Update};
+//! use std::sync::Arc;
 //!
 //! let family = SketchFamily::builder().copies(64).seed(7).build();
 //! let mut site = Site::new(1, family);
-//! let coord = Coordinator::new(family);
-//! let mut link = LossyLink::new(FaultSpec::nasty(), 42).unwrap();
-//! let opts = CollectionOptions::default();
+//! let coord = Arc::new(Coordinator::new(family));
+//! let link = LossyLink::new(FaultSpec::nasty(), 42).unwrap();
+//! let opts = TransportOptions::builder().max_attempts(64).build().unwrap();
+//! let metrics = Arc::new(TransportMetrics::new());
+//! let mut collector = MemCollector::new(Arc::clone(&coord), link, opts, metrics);
 //!
 //! // Periodic collection: observe, cut an epoch, ship the delta.
 //! for epoch in 0..3u64 {
 //!     for e in 0..300 {
 //!         site.observe(&Update::insert(StreamId(0), epoch * 1000 + e, 1));
 //!     }
-//!     let report = collect_epoch(&mut site, &mut link, &coord, &opts).unwrap();
+//!     let report = collector.collect(&mut site).unwrap();
 //!     // `report.checkpoint` is the site's sealed WAL — persist it, and
 //!     // `Site::restore_from_bytes` it after a crash.
 //!     assert_eq!(report.epoch, epoch + 1);
@@ -83,11 +90,15 @@
 //! assert!((answer.estimate.value - 900.0).abs() / 900.0 < 0.3);
 //! assert_eq!(answer.staleness[0].newest_epoch, 3);
 //! ```
+//!
+//! Over TCP the same loop runs with a [`TcpCollector`] pointed at a
+//! [`CoordinatorServer`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod codec;
+pub mod collector;
 pub mod coordinator;
 pub mod metrics;
 pub mod network;
@@ -97,8 +108,9 @@ pub mod site;
 pub mod transport;
 pub mod wire;
 
+pub use collector::{CollectionReport, Collector};
 pub use coordinator::Coordinator;
-pub use metrics::{CollectionMetrics, CoordinatorMetrics, TransportMetrics};
+pub use metrics::{CoordinatorMetrics, TransportMetrics};
 pub use relay::{Relay, RelayNode};
 pub use site::Site;
 pub use transport::{

@@ -1,5 +1,6 @@
 //! Distributed-collection metrics: frame traffic, typed rejections,
-//! quarantine and resync transitions, and collection-driver totals.
+//! quarantine and resync transitions, and transport and collection
+//! totals.
 //!
 //! Two instruments live here:
 //!
@@ -10,17 +11,18 @@
 //!   [`MetricSource`]) to also export collect-time gauges derived from
 //!   its state: announced sites, quarantined sites, per-site commit
 //!   epochs and epoch lag.
-//! * [`CollectionMetrics`] is owned by whoever drives
-//!   [`crate::network::collect_epoch`] and accumulates per-round
-//!   [`CollectionReport`]s: retransmissions, rounds, resyncs, checkpoint
-//!   bytes.
+//! * [`TransportMetrics`] is shared by the collectors, servers and relays
+//!   built from it, over TCP or in process: frames and bytes each way,
+//!   retransmissions, timeouts and backoffs, and — recorded by
+//!   [`crate::collector::Collector::collect`] itself — collection cycles,
+//!   failures, resyncs and checkpoint bytes.
 //!
 //! All counters are relaxed atomics ([`setstream_obs::Counter`]); the hot
 //! ingest path pays one increment per frame verdict.
 //!
 //! analyze: allow(indexing) — counter arrays are sized to the static `KINDS`/`REASONS` tables and indexed only via their position lookups
 
-use crate::network::CollectionReport;
+use crate::collector::CollectionReport;
 use crate::wire::FrameKind;
 use setstream_obs::{Counter, MetricSource, Sample};
 
@@ -193,112 +195,15 @@ impl CoordinatorMetrics {
     }
 }
 
-/// Driver-side accumulation of [`CollectionReport`]s from
-/// [`crate::network::collect_epoch`].
-#[derive(Debug, Default)]
-pub struct CollectionMetrics {
-    /// Successful collection cycles.
-    pub collections: Counter,
-    /// Collection cycles that failed (budget exhausted or fatal verdict).
-    pub failures: Counter,
-    /// Delivery attempts across all collections.
-    pub attempts: Counter,
-    /// Retransmission rounds across all collections.
-    pub rounds: Counter,
-    /// Envelope transmissions, including retransmits.
-    pub transmissions: Counter,
-    /// Cumulative resyncs the coordinator demanded.
-    pub resyncs: Counter,
-    /// Bytes of sealed site checkpoints produced.
-    pub checkpoint_bytes: Counter,
-}
-
-impl CollectionMetrics {
-    /// Fresh, all-zero counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one successful collection cycle into the totals.
-    pub fn record_report(&self, report: &CollectionReport) {
-        self.collections.inc();
-        self.attempts.add(u64::from(report.attempts));
-        self.rounds.add(u64::from(report.rounds));
-        self.transmissions.add(report.transmissions);
-        self.resyncs.add(u64::from(report.resyncs));
-        self.checkpoint_bytes.add(report.checkpoint.len() as u64);
-    }
-
-    /// Record a failed collection cycle.
-    pub fn record_failure(&self) {
-        self.failures.inc();
-    }
-}
-
-impl MetricSource for CollectionMetrics {
-    fn collect(&self, out: &mut Vec<Sample>) {
-        out.push(
-            Sample::counter(
-                "setstream_distributed_collections_total",
-                self.collections.get(),
-            )
-            .with_help("Successful collection cycles"),
-        );
-        out.push(
-            Sample::counter(
-                "setstream_distributed_collection_failures_total",
-                self.failures.get(),
-            )
-            .with_help("Collection cycles that failed"),
-        );
-        out.push(
-            Sample::counter(
-                "setstream_distributed_collection_attempts_total",
-                self.attempts.get(),
-            )
-            .with_help("Delivery attempts across all collections"),
-        );
-        out.push(
-            Sample::counter(
-                "setstream_distributed_collection_rounds_total",
-                self.rounds.get(),
-            )
-            .with_help("Retransmission rounds across all collections"),
-        );
-        out.push(
-            Sample::counter(
-                "setstream_distributed_retransmissions_total",
-                self.transmissions.get(),
-            )
-            .with_help("Envelope transmissions, including retransmits"),
-        );
-        out.push(
-            Sample::counter(
-                "setstream_distributed_resyncs_total",
-                self.resyncs.get(),
-            )
-            .with_help("Full resyncs the coordinator demanded"),
-        );
-        out.push(
-            Sample::counter(
-                "setstream_distributed_checkpoint_bytes_total",
-                self.checkpoint_bytes.get(),
-            )
-            .with_help("Bytes of sealed site checkpoints produced"),
-        );
-    }
-}
-
-/// Always-on counters for the real TCP transport
-/// ([`crate::transport`]): connection lifecycle, retry/backoff activity,
-/// frame and byte traffic in both directions, relay merges, and the
-/// backpressure safety valve.
+/// Always-on counters for the collection transport: connection
+/// lifecycle, retry/backoff activity, frame and byte traffic in both
+/// directions, relay merges, the backpressure safety valve, and
+/// collection-cycle totals.
 ///
 /// One instance is shared by every [`crate::transport::FrameServer`],
-/// [`crate::transport::TcpCollector`] and [`crate::relay::RelayNode`]
-/// that was built from it; register it with a
-/// [`setstream_obs::Registry`] to export the `setstream_transport_*`
-/// families.
+/// [`crate::collector::Collector`] and [`crate::relay::RelayNode`] that
+/// was built from it; register it with a [`setstream_obs::Registry`] to
+/// export the `setstream_transport_*` families.
 #[derive(Debug, Default)]
 pub struct TransportMetrics {
     /// Successful TCP connects (client side).
@@ -316,8 +221,8 @@ pub struct TransportMetrics {
     /// Connections dropped for poisoned framing (bad magic/kind or an
     /// oversize declared length mid-stream).
     pub desyncs: Counter,
-    /// Epoch batches retransmitted after a timeout, reconnect, or
-    /// incomplete ack.
+    /// Frames retransmitted after a timeout, reconnect, or incomplete
+    /// ack.
     pub retransmits: Counter,
     /// Child delta frames folded into a relay's merged state.
     pub relay_merges: Counter,
@@ -331,12 +236,27 @@ pub struct TransportMetrics {
     pub bytes_in: Counter,
     /// Bytes written to peers.
     pub bytes_out: Counter,
+    /// Successful collection cycles.
+    pub collections: Counter,
+    /// Collection cycles that failed (budget exhausted or fatal verdict).
+    pub collection_failures: Counter,
+    /// Cumulative resyncs shipped during collection cycles.
+    pub resyncs: Counter,
+    /// Bytes of sealed site checkpoints produced.
+    pub checkpoint_bytes: Counter,
 }
 
 impl TransportMetrics {
     /// Fresh, all-zero counters.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Fold one successful collection cycle into the totals.
+    pub(crate) fn record_collection(&self, report: &CollectionReport) {
+        self.collections.inc();
+        self.resyncs.add(u64::from(report.resyncs));
+        self.checkpoint_bytes.add(report.checkpoint.len() as u64);
     }
 }
 
@@ -380,7 +300,7 @@ impl MetricSource for TransportMetrics {
                 "setstream_transport_retransmits_total",
                 self.retransmits.get(),
             )
-            .with_help("Epoch batches retransmitted after timeout or incomplete ack"),
+            .with_help("Frames retransmitted after timeout or incomplete ack"),
         );
         out.push(
             Sample::counter(
@@ -393,6 +313,30 @@ impl MetricSource for TransportMetrics {
             Sample::counter("setstream_transport_acks_sent_total", self.acks_sent.get())
                 .with_help("Epoch acknowledgement frames sent by servers"),
         );
+        for (name, counter, help) in [
+            (
+                "setstream_transport_collections_total",
+                &self.collections,
+                "Successful collection cycles",
+            ),
+            (
+                "setstream_transport_collection_failures_total",
+                &self.collection_failures,
+                "Collection cycles that failed",
+            ),
+            (
+                "setstream_transport_resyncs_total",
+                &self.resyncs,
+                "Cumulative resyncs shipped during collection",
+            ),
+            (
+                "setstream_transport_checkpoint_bytes_total",
+                &self.checkpoint_bytes,
+                "Bytes of sealed site checkpoints produced",
+            ),
+        ] {
+            out.push(Sample::counter(name, counter.get()).with_help(help));
+        }
         for (dir, frames, bytes) in [
             ("in", &self.frames_in, &self.bytes_in),
             ("out", &self.frames_out, &self.bytes_out),
@@ -400,12 +344,12 @@ impl MetricSource for TransportMetrics {
             out.push(
                 Sample::counter("setstream_transport_frames_total", frames.get())
                     .with_label("direction", dir)
-                    .with_help("Wire frames exchanged over TCP, by direction"),
+                    .with_help("Wire frames exchanged with peers, by direction"),
             );
             out.push(
                 Sample::counter("setstream_transport_bytes_total", bytes.get())
                     .with_label("direction", dir)
-                    .with_help("Bytes exchanged over TCP, by direction"),
+                    .with_help("Bytes exchanged with peers, by direction"),
             );
         }
     }
@@ -432,33 +376,34 @@ mod tests {
 
     #[test]
     fn collection_report_folds_into_totals() {
-        let m = CollectionMetrics::new();
-        m.record_report(&CollectionReport {
+        let m = TransportMetrics::new();
+        m.record_collection(&CollectionReport {
             epoch: 1,
             attempts: 2,
-            rounds: 7,
             transmissions: 40,
             resyncs: 1,
             checkpoint: vec![0u8; 128],
         });
-        m.record_failure();
+        m.collection_failures.inc();
         assert_eq!(m.collections.get(), 1);
-        assert_eq!(m.failures.get(), 1);
-        assert_eq!(m.rounds.get(), 7);
-        assert_eq!(m.transmissions.get(), 40);
+        assert_eq!(m.collection_failures.get(), 1);
         assert_eq!(m.resyncs.get(), 1);
         assert_eq!(m.checkpoint_bytes.get(), 128);
     }
 
     #[test]
     fn exported_sample_names_are_complete() {
-        let m = CollectionMetrics::new();
+        let m = TransportMetrics::new();
         let mut out = Vec::new();
         m.collect(&mut out);
-        assert_eq!(out.len(), 7);
-        assert!(out
-            .iter()
-            .all(|s| s.name.starts_with("setstream_distributed_")));
+        for name in [
+            "setstream_transport_collections_total",
+            "setstream_transport_collection_failures_total",
+            "setstream_transport_resyncs_total",
+            "setstream_transport_checkpoint_bytes_total",
+        ] {
+            assert!(out.iter().any(|s| s.name == name), "{name} not exported");
+        }
     }
 
     #[test]
@@ -468,7 +413,7 @@ mod tests {
         m.bytes_out.add(100);
         let mut out = Vec::new();
         m.collect(&mut out);
-        assert_eq!(out.len(), 13);
+        assert_eq!(out.len(), 17);
         assert!(out.iter().all(|s| s.name.starts_with("setstream_transport_")));
         // Every family's first sample documents itself, so the exposition
         // conformance test (`helped` count) covers the transport plane.

@@ -1,34 +1,34 @@
-//! An in-memory lossy network, a reliable-delivery layer, and the
-//! epoch-collection driver.
+//! An in-memory fault-injecting network and the in-process collection
+//! link.
 //!
 //! The paper's deployment ships synopses from sites to a central
 //! processor "periodically" over a real network; frames can be dropped,
 //! corrupted, duplicated or reordered in flight. Because the coordinator
 //! *merges* delta frames (cell-wise addition), raw retransmission would
-//! double-count — so collection runs over a small acknowledge-and-dedup
-//! protocol:
+//! double-count — so collection runs one protocol whatever the transport:
+//! epoch batches closed by a `Commit`, honest per-epoch acks from a
+//! [`CoordinatorHandler`], and the retry/resync client in
+//! [`crate::collector`].
 //!
-//! * every frame travels in an **envelope** with a unique id;
-//! * the receiver ignores envelope ids it has already accepted, verifies
-//!   the inner frame (CRC), and hands it to the coordinator exactly once;
-//! * the sender retransmits unacknowledged envelopes each round.
-//!
-//! [`LossyLink`] injects seeded faults; [`deliver_reliably`] runs the
-//! protocol to completion for a one-shot batch, and [`collect_epoch`] is
-//! the continuous-collection driver: it cuts an epoch at the site, ships
-//! the delta frames, reacts to the coordinator's typed rejections
-//! (cumulative resync on epoch gaps, bounded backoff-and-release on
-//! quarantine), and returns the site's crash-recovery checkpoint for the
-//! caller to persist.
+//! [`LossyLink`] injects seeded faults into a frame sequence; the TCP
+//! fault proxy ([`crate::transport::FaultyListener`]) and [`MemLink`] both
+//! use it. [`MemLink`] is the in-process transport: frames cross a
+//! `LossyLink` straight into a [`CoordinatorHandler`] — the handler a TCP
+//! server runs — and its acks come back. A [`MemCollector`] over it is a
+//! deterministic, sleep-free stand-in for a [`crate::TcpCollector`].
 
-use crate::coordinator::{Coordinator, CoordinatorError};
-use crate::site::{Epoch, Site};
-use crate::wire::WireError;
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::collector::{Collector, Link, Recv};
+use crate::coordinator::Coordinator;
+use crate::metrics::TransportMetrics;
+use crate::transport::{
+    CoordinatorHandler, FrameHandler, ServerRole, TransportError, TransportOptions,
+};
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// Fault model for a simulated link.
 #[derive(Debug, Clone, Copy)]
@@ -179,7 +179,6 @@ pub struct LossyLink {
     rng: StdRng,
     in_flight: Vec<Bytes>,
     delayed: Vec<Bytes>,
-    sessions: u64,
     /// Total frames accepted for transmission.
     pub sent: u64,
     /// Frames dropped by the link (including partition blackouts).
@@ -199,23 +198,11 @@ impl LossyLink {
             rng: StdRng::seed_from_u64(seed),
             in_flight: Vec::new(),
             delayed: Vec::new(),
-            sessions: 0,
             sent: 0,
             dropped: 0,
             corrupted: 0,
             truncated: 0,
         })
-    }
-
-    /// Start a new delivery session over this link and return its id.
-    ///
-    /// Delayed frames can surface rounds — or whole collections — after
-    /// they were sent; a session id lets the driver recognise and discard
-    /// traffic from an earlier conversation instead of mistaking an old
-    /// frame for one of the current batch.
-    pub fn next_session(&mut self) -> u32 {
-        self.sessions += 1;
-        self.sessions as u32
     }
 
     /// Offer a frame for transmission.
@@ -294,477 +281,104 @@ impl LossyLink {
     }
 }
 
-/// Outcome of a reliable collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeliveryReport {
-    /// Rounds (send + drain cycles) used.
-    pub rounds: u32,
-    /// Total envelope transmissions, including retransmissions.
-    pub transmissions: u64,
-    /// Distinct frames delivered to the coordinator.
-    pub delivered: usize,
-}
-
-/// Reliable-delivery failure.
-#[derive(Debug)]
-pub enum DeliveryError {
-    /// The round budget ran out with frames still unacknowledged.
-    Incomplete {
-        /// Frames that never made it.
-        missing: usize,
-        /// Rounds attempted.
-        rounds: u32,
-    },
-    /// The coordinator rejected a *valid* frame (e.g. coin mismatch) —
-    /// retransmission cannot fix that.
-    Rejected(CoordinatorError),
-}
-
-impl fmt::Display for DeliveryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DeliveryError::Incomplete { missing, rounds } => {
-                write!(f, "{missing} frames undelivered after {rounds} rounds")
-            }
-            DeliveryError::Rejected(e) => write!(f, "coordinator rejected frame: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DeliveryError {}
-
-/// Envelope: `id:u64 | frame bytes`.
-fn envelope(session: u32, id: u32, frame: &Bytes) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + frame.len());
-    buf.put_u64_le(u64::from(session) << 32 | u64::from(id));
-    buf.put_slice(frame);
-    buf.freeze()
-}
-
-fn open_envelope(mut bytes: Bytes) -> Option<(u32, u32, Bytes)> {
-    use bytes::Buf;
-    if bytes.len() < 8 {
-        return None;
-    }
-    let tag = bytes.get_u64_le();
-    Some(((tag >> 32) as u32, tag as u32, bytes))
-}
-
-/// Ship `frames` to `coordinator` across `link`, retransmitting until all
-/// are acknowledged or `max_rounds` is exhausted. Acks are assumed
-/// reliable (they are tiny; a lossy ack path only raises the round count,
-/// which the caller already bounds).
-pub fn deliver_reliably(
-    frames: &[Bytes],
-    link: &mut LossyLink,
-    coordinator: &Coordinator,
-    max_rounds: u32,
-) -> Result<DeliveryReport, DeliveryError> {
-    let mut acked: Vec<bool> = vec![false; frames.len()];
-    let mut seen: HashSet<u32> = HashSet::new();
-    let mut transmissions = 0u64;
-    // A fresh session id per call: a frame the link *delayed* past the
-    // end of this call would otherwise surface during the next one and
-    // be mistaken for a member of that batch (an old Commit would ingest
-    // cleanly and falsely ack a new frame that was never delivered).
-    let session = link.next_session();
-    for round in 1..=max_rounds {
-        // Send every unacked frame.
-        for (i, (frame, done)) in frames.iter().zip(acked.iter()).enumerate() {
-            if !done {
-                link.send(envelope(session, i as u32, frame));
-                transmissions += 1;
-            }
-        }
-        // Deliver.
-        for received in link.drain() {
-            let Some((got_session, id, frame)) = open_envelope(received) else {
-                continue; // truncated envelope
-            };
-            if got_session != session {
-                continue; // straggler from an earlier conversation
-            }
-            let Some(slot) = acked.get_mut(id as usize) else {
-                continue; // id corrupted out of range
-            };
-            if seen.contains(&id) {
-                continue; // duplicate of an accepted frame
-            }
-            match coordinator.ingest_frame(&frame) {
-                Ok(()) => {
-                    seen.insert(id);
-                    *slot = true;
-                }
-                Err(CoordinatorError::Wire(_)) => {
-                    // Corrupted in flight: leave unacked, retransmit.
-                }
-                Err(fatal) => return Err(DeliveryError::Rejected(fatal)),
-            }
-        }
-        if acked.iter().all(|&a| a) {
-            return Ok(DeliveryReport {
-                rounds: round,
-                transmissions,
-                delivered: frames.len(),
-            });
-        }
-    }
-    Err(DeliveryError::Incomplete {
-        missing: acked.iter().filter(|&&a| !a).count(),
-        rounds: max_rounds,
-    })
-}
-
-/// Knobs for [`collect_epoch`]. Construct via [`CollectionOptions::builder`]
-/// (or take [`CollectionOptions::default`]); the fields are private so
-/// every instance has passed validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CollectionOptions {
-    /// Retransmission rounds per delivery attempt.
-    max_rounds: u32,
-    /// Delivery attempts (each separated by a quarantine release and
-    /// backoff) before giving up.
-    max_attempts: u32,
-    /// Base backoff, in drained link rounds, after a quarantine; doubles
-    /// per subsequent attempt.
-    backoff_rounds: u32,
-}
-
-impl Default for CollectionOptions {
-    fn default() -> Self {
-        CollectionOptions {
-            max_rounds: 64,
-            max_attempts: 4,
-            backoff_rounds: 1,
-        }
-    }
-}
-
-impl CollectionOptions {
-    /// Start from the defaults (64 rounds, 4 attempts, backoff 1).
-    pub fn builder() -> CollectionOptionsBuilder {
-        CollectionOptionsBuilder {
-            options: CollectionOptions::default(),
-        }
-    }
-
-    /// Retransmission rounds per delivery attempt.
-    pub fn max_rounds(&self) -> u32 {
-        self.max_rounds
-    }
-
-    /// Delivery attempts before giving up.
-    pub fn max_attempts(&self) -> u32 {
-        self.max_attempts
-    }
-
-    /// Base quarantine backoff in drained link rounds.
-    pub fn backoff_rounds(&self) -> u32 {
-        self.backoff_rounds
-    }
-}
-
-/// A [`CollectionOptions`] knob set to a value that cannot work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CollectionOptionsError {
-    /// Which knob is invalid.
-    pub field: &'static str,
-    /// The offending value.
-    pub value: u32,
-}
-
-impl fmt::Display for CollectionOptionsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "collection option `{}` = {} must be at least 1",
-            self.field, self.value
-        )
-    }
-}
-
-impl std::error::Error for CollectionOptionsError {}
-
-/// Validating builder for [`CollectionOptions`].
-#[derive(Debug, Clone)]
-pub struct CollectionOptionsBuilder {
-    options: CollectionOptions,
-}
-
-impl CollectionOptionsBuilder {
-    /// Retransmission rounds per delivery attempt (≥ 1).
-    pub fn max_rounds(mut self, rounds: u32) -> Self {
-        self.options.max_rounds = rounds;
-        self
-    }
-
-    /// Delivery attempts before giving up (≥ 1).
-    pub fn max_attempts(mut self, attempts: u32) -> Self {
-        self.options.max_attempts = attempts;
-        self
-    }
-
-    /// Base quarantine backoff in drained link rounds (0 disables the
-    /// quiet period).
-    pub fn backoff_rounds(mut self, rounds: u32) -> Self {
-        self.options.backoff_rounds = rounds;
-        self
-    }
-
-    /// Validate and produce the options: round and attempt budgets must
-    /// be at least 1 or [`collect_epoch`] could never ship anything.
-    pub fn build(self) -> Result<CollectionOptions, CollectionOptionsError> {
-        for (field, value) in [
-            ("max_rounds", self.options.max_rounds),
-            ("max_attempts", self.options.max_attempts),
-        ] {
-            if value == 0 {
-                return Err(CollectionOptionsError { field, value });
-            }
-        }
-        Ok(self.options)
-    }
-}
-
-/// What one [`collect_epoch`] run did.
-#[derive(Debug, Clone)]
-pub struct CollectionReport {
-    /// The epoch that was cut and shipped.
-    pub epoch: Epoch,
-    /// Delivery attempts used (1 = no quarantine trouble).
-    pub attempts: u32,
-    /// Total retransmission rounds across all attempts.
-    pub rounds: u32,
-    /// Total envelope transmissions.
-    pub transmissions: u64,
-    /// Cumulative resyncs the coordinator demanded.
-    pub resyncs: u32,
-    /// The site's sealed post-cut checkpoint — persist this before
-    /// acknowledging the epoch upstream, and feed it to
-    /// [`Site::restore_from_bytes`] after a crash.
-    pub checkpoint: Vec<u8>,
-}
-
-/// Epoch-collection failure.
-#[derive(Debug)]
-pub enum CollectionError {
-    /// Attempt/round budget exhausted with frames unacknowledged (e.g. a
-    /// blackout link, or a site that cannot leave quarantine).
-    Undelivered {
-        /// Frames that never made it.
-        missing: usize,
-        /// Attempts used.
-        attempts: u32,
-    },
-    /// The coordinator rejected a valid frame for an unrecoverable reason
-    /// (coin mismatch, estimator incompatibility).
-    Rejected(CoordinatorError),
-    /// Framing the site's state failed.
-    Wire(WireError),
-}
-
-impl fmt::Display for CollectionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CollectionError::Undelivered { missing, attempts } => {
-                write!(f, "{missing} frames undelivered after {attempts} attempts")
-            }
-            CollectionError::Rejected(e) => write!(f, "coordinator rejected collection: {e}"),
-            CollectionError::Wire(e) => write!(f, "framing error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CollectionError {}
-
-impl From<WireError> for CollectionError {
-    fn from(e: WireError) -> Self {
-        CollectionError::Wire(e)
-    }
-}
-
-/// Deliver one batch site-attributed, reacting to the coordinator's typed
-/// verdicts. Returns `(resync_needed, rounds_used)`.
-fn deliver_epoch_batch(
-    frames: &[Bytes],
-    site_id: u32,
-    link: &mut LossyLink,
-    coordinator: &Coordinator,
-    opts: &CollectionOptions,
-    attempts: &mut u32,
-    transmissions: &mut u64,
-) -> Result<(bool, u32), CollectionError> {
-    let mut acked: Vec<bool> = vec![false; frames.len()];
-    let mut seen: HashSet<u32> = HashSet::new();
-    let mut resync_needed = false;
-    let mut rounds_used = 0u32;
-    // Fresh session id: frames the link delayed past the end of an
-    // earlier batch must not be mistaken for members of this one.
-    let session = link.next_session();
-    loop {
-        let mut blocked = false;
-        for round in 1..=opts.max_rounds {
-            rounds_used = rounds_used.max(round);
-            for (i, (frame, done)) in frames.iter().zip(acked.iter()).enumerate() {
-                if !done {
-                    link.send(envelope(session, i as u32, frame));
-                    *transmissions += 1;
-                }
-            }
-            for received in link.drain() {
-                if blocked {
-                    continue; // discard the rest of the round's traffic
-                }
-                let Some((got_session, id, frame)) = open_envelope(received) else {
-                    continue;
-                };
-                if got_session != session {
-                    continue; // straggler from an earlier conversation
-                }
-                let Some(slot) = acked.get_mut(id as usize) else {
-                    continue;
-                };
-                if seen.contains(&id) {
-                    continue;
-                }
-                match coordinator.ingest_frame_from(site_id, &frame) {
-                    Ok(()) => {
-                        seen.insert(id);
-                        *slot = true;
-                    }
-                    Err(CoordinatorError::Wire(_)) => {
-                        // Corrupted in flight: retransmit next round.
-                    }
-                    Err(e) if e.wants_resync() => {
-                        // This frame can never apply; the cumulative
-                        // resync that follows supersedes it.
-                        seen.insert(id);
-                        *slot = true;
-                        resync_needed = true;
-                    }
-                    Err(CoordinatorError::Quarantined { .. }) => {
-                        blocked = true;
-                    }
-                    Err(fatal) => return Err(CollectionError::Rejected(fatal)),
-                }
-            }
-            if blocked {
-                break;
-            }
-            if acked.iter().all(|&a| a) {
-                return Ok((resync_needed, rounds_used));
-            }
-        }
-        *attempts += 1;
-        if *attempts >= opts.max_attempts {
-            return Err(CollectionError::Undelivered {
-                missing: acked.iter().filter(|&&a| !a).count(),
-                attempts: *attempts,
-            });
-        }
-        if blocked {
-            // Back off: let the (doubling) quiet period flush whatever is
-            // still in flight, then ask for another chance.
-            let quiet = opts.backoff_rounds.saturating_mul(1 << (*attempts - 1).min(16));
-            for _ in 0..quiet {
-                link.drain();
-            }
-            coordinator.release_quarantine(site_id);
-        }
-        // Otherwise the round budget ran out (heavy loss): retry the
-        // unacked remainder in a fresh attempt.
-    }
-}
-
-/// Run one full collection cycle for `site`: cut the next epoch, ship its
-/// delta frames across `link` with retransmission and dedup, honour the
-/// coordinator's typed verdicts (epoch gaps and stale epochs trigger a
-/// cumulative resync; quarantine triggers bounded backoff-and-release),
-/// and hand back the site's sealed checkpoint for the caller to persist.
+/// The in-process [`Link`]: frames cross a seeded [`LossyLink`] into a
+/// [`CoordinatorHandler`], and the handler's acks come straight back
+/// (acks are reliable, as through the TCP fault proxy).
 ///
-/// The coordinator keeps answering queries throughout — a failed
-/// collection leaves it serving the last consistent state.
-pub fn collect_epoch(
-    site: &mut Site,
-    link: &mut LossyLink,
-    coordinator: &Coordinator,
-    opts: &CollectionOptions,
-) -> Result<CollectionReport, CollectionError> {
-    let trace = site.trace().clone();
-    let mut span = trace.span("collect.epoch");
-    if span.is_recording() {
-        span.track(format!("site-{}", site.id()));
-    }
-    let cut = site.cut_epoch()?;
-    let mut attempts = 1u32;
-    let mut transmissions = 0u64;
-    let mut total_rounds;
-    let mut resyncs = 0u32;
+/// One [`LossyLink::drain`] is one delivery round. A read with no ack
+/// queued runs a round and times out if it produced none; a backoff runs
+/// rounds instead of sleeping, so collection over a `MemLink` is fully
+/// determined by the fault seed. Frames still in the link (delayed ones)
+/// surface in later rounds, where the coordinator's watermarks refuse
+/// them like any duplicate.
+pub struct MemLink {
+    faults: LossyLink,
+    handler: CoordinatorHandler,
+    acks: VecDeque<Bytes>,
+}
 
-    let (mut resync_needed, rounds) = deliver_epoch_batch(
-        &cut.frames,
-        site.id(),
-        link,
-        coordinator,
-        opts,
-        &mut attempts,
-        &mut transmissions,
-    )?;
-    total_rounds = rounds;
-
-    // The coordinator may have flagged the site from the hello (stale
-    // restore) even if every frame applied — and a freshly restored site
-    // must resync regardless, because it cannot know whether its last
-    // pre-crash cut was ever delivered.
-    if let Some(status) = coordinator.site_status(site.id()) {
-        resync_needed |= status.needs_resync;
-    }
-    resync_needed |= site.recovering();
-
-    while resync_needed {
-        resyncs += 1;
-        if resyncs > opts.max_attempts {
-            return Err(CollectionError::Undelivered {
-                missing: 0,
-                attempts,
-            });
+impl MemLink {
+    /// A link into `coordinator` through `faults`. The coordinator side
+    /// keeps its own transport counters: it is not a server, so it does
+    /// not add to the collector's.
+    fn new(coordinator: Arc<Coordinator>, faults: LossyLink, opts: &TransportOptions) -> Self {
+        let metrics = Arc::new(TransportMetrics::new());
+        MemLink {
+            faults,
+            handler: CoordinatorHandler::new(coordinator, metrics, ServerRole::Coordinator, opts),
+            acks: VecDeque::new(),
         }
-        let frames = site.resync_frames()?;
-        let (again, rounds) = deliver_epoch_batch(
-            &frames,
-            site.id(),
-            link,
-            coordinator,
-            opts,
-            &mut attempts,
-            &mut transmissions,
-        )?;
-        total_rounds += rounds;
-        resync_needed = again;
     }
 
-    if span.is_recording() {
-        span.detail(format!(
-            "epoch={} attempts={attempts} rounds={total_rounds} resyncs={resyncs}",
-            site.epoch()
-        ));
+    /// The fault injector and its tallies.
+    pub fn faults(&self) -> &LossyLink {
+        &self.faults
     }
-    Ok(CollectionReport {
-        epoch: site.epoch(),
-        attempts,
-        rounds: total_rounds,
-        transmissions,
-        resyncs,
-        checkpoint: cut.checkpoint,
-    })
+
+    /// Deliver one round of traffic.
+    fn round(&mut self) {
+        for frame in self.faults.drain() {
+            self.acks.extend(self.handler.on_frame(0, frame));
+        }
+    }
+}
+
+impl fmt::Debug for MemLink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MemLink")
+            .field("faults", &self.faults)
+            .field("acks", &self.acks.len())
+            .finish()
+    }
+}
+
+impl Link for MemLink {
+    fn connect(&mut self) -> Result<(), TransportError> {
+        Ok(())
+    }
+
+    fn send(&mut self, frame: &Bytes) -> bool {
+        self.faults.send(frame.clone());
+        true
+    }
+
+    fn recv(&mut self) -> Recv {
+        if self.acks.is_empty() {
+            self.round();
+        }
+        self.acks.pop_front().map_or(Recv::TimedOut, Recv::Frame)
+    }
+
+    fn reset(&mut self) {}
+
+    fn backoff(&mut self, retry: u32) {
+        for _ in 0..1u32 << retry.saturating_sub(1).min(10) {
+            self.round();
+        }
+    }
+}
+
+/// In-process collection client: a [`Collector`] over a [`MemLink`].
+pub type MemCollector = Collector<MemLink>;
+
+impl Collector<MemLink> {
+    /// A collector shipping into `coordinator` through `faults`.
+    pub fn new(
+        coordinator: Arc<Coordinator>,
+        faults: LossyLink,
+        opts: TransportOptions,
+        metrics: Arc<TransportMetrics>,
+    ) -> Self {
+        Collector::with_link(MemLink::new(coordinator, faults, &opts), opts, metrics)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::site::Site;
-    use setstream_expr::SetExpr;
     use setstream_core::SketchFamily;
+    use setstream_expr::SetExpr;
     use setstream_stream::{StreamId, Update};
 
     fn family() -> SketchFamily {
@@ -775,83 +389,130 @@ mod tests {
             .build()
     }
 
+    /// An in-process collector into `coord` through `faults`, with its
+    /// metrics.
+    fn mem_collector(
+        coord: &Arc<Coordinator>,
+        faults: FaultSpec,
+        seed: u64,
+        max_attempts: u32,
+    ) -> (MemCollector, Arc<TransportMetrics>) {
+        let opts = TransportOptions::builder()
+            .max_attempts(max_attempts)
+            .build()
+            .unwrap();
+        let metrics = Arc::new(TransportMetrics::new());
+        let link = LossyLink::new(faults, seed).unwrap();
+        let collector = MemCollector::new(Arc::clone(coord), link, opts, Arc::clone(&metrics));
+        (collector, metrics)
+    }
+
+    /// Deliver one epoch batch (Hello, a delta per stream, Commit) of a
+    /// site that saw 2000 inserts over three streams through `faults`,
+    /// and check the coordinator ends exactly where a perfect link
+    /// leaves it, despite duplicates, corruption and reordering.
+    fn converges(
+        faults: FaultSpec,
+        seed: u64,
+        max_attempts: u32,
+    ) -> (Vec<Bytes>, MemCollector, Arc<TransportMetrics>) {
+        let frames = site_frames();
+        let clean = Coordinator::new(family());
+        for f in &frames {
+            clean.ingest_frame(f).unwrap();
+        }
+        let coord = Arc::new(Coordinator::new(family()));
+        let (mut collector, metrics) = mem_collector(&coord, faults, seed, max_attempts);
+        deliver(&mut collector, &frames).unwrap();
+        assert_eq!(collector.in_flight(), 0, "every frame acknowledged");
+        for stream in clean.streams() {
+            let expr = SetExpr::stream(stream.0);
+            assert_eq!(
+                clean.query(&expr).unwrap().estimate.value,
+                coord.query(&expr).unwrap().estimate.value,
+                "stream {stream}"
+            );
+        }
+        (frames, collector, metrics)
+    }
+
     fn site_frames() -> Vec<Bytes> {
         let mut site = Site::new(1, family());
         for e in 0..2000u64 {
             site.observe(&Update::insert(StreamId((e % 3) as u32), e, 1));
         }
-        site.snapshot_frames().unwrap()
+        site.cut_epoch().unwrap().frames
+    }
+
+    /// Ship `frames` as one epoch and wait for its ack.
+    fn deliver(collector: &mut MemCollector, frames: &[Bytes]) -> Result<(), TransportError> {
+        collector.ship(1, frames.to_vec())?;
+        collector.flush()
+    }
+
+    fn assert_matches_site(coord: &Coordinator, site: &Site) {
+        let merged = coord.merged_synopsis(StreamId(0)).unwrap();
+        for (m, s) in merged
+            .sketches()
+            .iter()
+            .zip(site.synopsis(StreamId(0)).unwrap().sketches())
+        {
+            assert_eq!(m.counters(), s.counters());
+        }
     }
 
     #[test]
     fn reliable_link_delivers_in_one_round() {
-        let frames = site_frames();
-        let mut link = LossyLink::new(FaultSpec::reliable(), 1).unwrap();
-        let coord = Coordinator::new(family());
-        let report = deliver_reliably(&frames, &mut link, &coord, 3).unwrap();
-        assert_eq!(report.rounds, 1);
-        assert_eq!(report.transmissions as usize, frames.len());
-        assert_eq!(report.delivered, frames.len());
+        let (frames, _, metrics) = converges(FaultSpec::reliable(), 1, 3);
+        assert_eq!(metrics.retransmits.get(), 0);
+        assert_eq!(metrics.frames_out.get() as usize, frames.len());
     }
 
     #[test]
     fn nasty_link_converges_to_exact_state() {
-        let frames = site_frames();
-        // Reference: same frames over a perfect link.
-        let clean = Coordinator::new(family());
-        for f in &frames {
-            clean.ingest_frame(f).unwrap();
-        }
-
-        let coord = Coordinator::new(family());
-        let mut link = LossyLink::new(FaultSpec::nasty(), 99).unwrap();
-        let report = deliver_reliably(&frames, &mut link, &coord, 100).unwrap();
-        assert!(report.rounds > 1, "faults should force retransmission");
+        let (_, collector, metrics) = converges(FaultSpec::nasty(), 99, 64);
+        assert!(
+            metrics.retransmits.get() > 0,
+            "faults should force retransmission"
+        );
+        let link = collector.link().faults();
         assert!(link.dropped > 0 || link.corrupted > 0);
-
-        // The merged synopsis must be identical despite duplicates,
-        // corruption and reordering.
-        for stream in clean.streams() {
-            let expr = SetExpr::stream(stream.0);
-            let a = clean.query(&expr).unwrap().estimate.value;
-            let b = coord.query(&expr).unwrap().estimate.value;
-            assert_eq!(a, b, "stream {stream}");
-        }
     }
 
     #[test]
     fn total_blackout_reports_incomplete() {
         let frames = site_frames();
-        let mut link = LossyLink::new(
-            FaultSpec {
-                drop: 1.0,
-                ..FaultSpec::reliable()
-            },
-            3,
-        )
-        .unwrap();
-        let coord = Coordinator::new(family());
-        match deliver_reliably(&frames, &mut link, &coord, 5) {
-            Err(DeliveryError::Incomplete { missing, rounds }) => {
+        let coord = Arc::new(Coordinator::new(family()));
+        let blackout = FaultSpec {
+            drop: 1.0,
+            ..FaultSpec::reliable()
+        };
+        let (mut collector, _) = mem_collector(&coord, blackout, 3, 5);
+        match deliver(&mut collector, &frames) {
+            Err(TransportError::Undelivered { missing, attempts }) => {
                 assert_eq!(missing, frames.len());
-                assert_eq!(rounds, 5);
+                assert_eq!(attempts, 5);
             }
-            other => panic!("expected Incomplete, got {other:?}"),
+            other => panic!("expected Undelivered, got {other:?}"),
         }
     }
 
     #[test]
     fn coin_mismatch_is_fatal_not_retried() {
-        let other = SketchFamily::builder().copies(32).second_level(8).seed(6).build();
+        let other = SketchFamily::builder()
+            .copies(32)
+            .second_level(8)
+            .seed(6)
+            .build();
         let mut site = Site::new(2, other);
         site.observe(&Update::insert(StreamId(0), 1, 1));
-        let frames = site.snapshot_frames().unwrap();
-        let coord = Coordinator::new(family());
-        let mut link = LossyLink::new(FaultSpec::reliable(), 4).unwrap();
-        match deliver_reliably(&frames, &mut link, &coord, 10) {
-            Err(DeliveryError::Rejected(_)) => {}
+        let coord = Arc::new(Coordinator::new(family()));
+        let (mut collector, metrics) = mem_collector(&coord, FaultSpec::reliable(), 4, 10);
+        match collector.collect(&mut site) {
+            Err(TransportError::Rejected { .. }) => {}
             other => panic!("expected Rejected, got {other:?}"),
         }
+        assert_eq!(metrics.retransmits.get(), 0);
     }
 
     #[test]
@@ -875,28 +536,11 @@ mod tests {
 
     #[test]
     fn duplicates_do_not_double_merge() {
-        let frames = site_frames();
-        let clean = Coordinator::new(family());
-        for f in &frames {
-            clean.ingest_frame(f).unwrap();
-        }
-        let coord = Coordinator::new(family());
-        let mut link = LossyLink::new(
-            FaultSpec {
-                duplicate: 1.0,
-                ..FaultSpec::reliable()
-            },
-            11,
-        )
-        .unwrap();
-        deliver_reliably(&frames, &mut link, &coord, 3).unwrap();
-        for stream in clean.streams() {
-            let expr = SetExpr::stream(stream.0);
-            assert_eq!(
-                clean.query(&expr).unwrap().estimate.value,
-                coord.query(&expr).unwrap().estimate.value
-            );
-        }
+        let duplicating = FaultSpec {
+            duplicate: 1.0,
+            ..FaultSpec::reliable()
+        };
+        converges(duplicating, 11, 3);
     }
 
     #[test]
@@ -924,19 +568,16 @@ mod tests {
         // harness lifts a partition by rebuilding the link, which the
         // collection protocol must survive via retransmission.
         let frames = site_frames();
-        let coord = Coordinator::new(family());
-        let mut dark = LossyLink::new(
-            FaultSpec {
-                partition_every: 1,
-                partition_for: 1,
-                ..FaultSpec::reliable()
-            },
-            0,
-        )
-        .unwrap();
-        assert!(deliver_reliably(&frames, &mut dark, &coord, 3).is_err());
-        let mut healed = LossyLink::new(FaultSpec::reliable(), 0).unwrap();
-        deliver_reliably(&frames, &mut healed, &coord, 3).unwrap();
+        let coord = Arc::new(Coordinator::new(family()));
+        let dark = FaultSpec {
+            partition_every: 1,
+            partition_for: 1,
+            ..FaultSpec::reliable()
+        };
+        let (mut collector, _) = mem_collector(&coord, dark, 0, 3);
+        assert!(deliver(&mut collector, &frames).is_err());
+        let (mut collector, _) = mem_collector(&coord, FaultSpec::reliable(), 0, 3);
+        deliver(&mut collector, &frames).unwrap();
     }
 
     #[test]
@@ -956,30 +597,15 @@ mod tests {
 
     #[test]
     fn truncation_is_survivable_loss() {
-        let frames = site_frames();
-        let clean = Coordinator::new(family());
-        for f in &frames {
-            clean.ingest_frame(f).unwrap();
-        }
-        let coord = Coordinator::new(family());
-        let mut link = LossyLink::new(
-            FaultSpec {
-                truncate: 0.5,
-                ..FaultSpec::reliable()
-            },
-            13,
-        )
-        .unwrap();
-        let report = deliver_reliably(&frames, &mut link, &coord, 100).unwrap();
-        assert!(link.truncated > 0, "seed must exercise truncation");
-        assert_eq!(report.delivered, frames.len());
-        for stream in clean.streams() {
-            let expr = SetExpr::stream(stream.0);
-            assert_eq!(
-                clean.query(&expr).unwrap().estimate.value,
-                coord.query(&expr).unwrap().estimate.value
-            );
-        }
+        let truncating = FaultSpec {
+            truncate: 0.5,
+            ..FaultSpec::reliable()
+        };
+        let (_, collector, _) = converges(truncating, 13, 64);
+        assert!(
+            collector.link().faults().truncated > 0,
+            "seed must exercise truncation"
+        );
     }
 
     #[test]
@@ -1037,83 +663,61 @@ mod tests {
     }
 
     #[test]
-    fn collect_epoch_over_nasty_link_matches_ground_truth() {
+    fn collect_over_nasty_link_matches_ground_truth() {
         let fam = family();
         let mut site = Site::new(1, fam);
-        let coord = Coordinator::new(fam);
-        let mut link = LossyLink::new(FaultSpec::nasty(), 17).unwrap();
-        let opts = CollectionOptions::default();
+        let coord = Arc::new(Coordinator::new(fam));
+        let (mut collector, _) = mem_collector(&coord, FaultSpec::nasty(), 17, 64);
         for epoch in 0..3 {
             for e in 0..400u64 {
                 site.observe(&Update::insert(StreamId(0), epoch * 1000 + e, 1));
             }
-            let report = collect_epoch(&mut site, &mut link, &coord, &opts).unwrap();
+            let report = collector.collect(&mut site).unwrap();
             assert_eq!(report.epoch, epoch + 1);
             assert!(!report.checkpoint.is_empty());
         }
-        let merged = coord.merged_synopsis(StreamId(0)).unwrap();
-        for (m, s) in merged
-            .sketches()
-            .iter()
-            .zip(site.synopsis(StreamId(0)).unwrap().sketches())
-        {
-            assert_eq!(m.counters(), s.counters());
-        }
+        assert_matches_site(&coord, &site);
     }
 
     #[test]
-    fn collect_epoch_survives_quarantine_with_backoff() {
+    fn collect_survives_quarantine_with_backoff() {
         let fam = family();
         let mut site = Site::new(3, fam);
         // Quarantine trips on the very first corrupt frame.
-        let coord = Coordinator::new(fam).with_quarantine_after(1);
-        let mut link = LossyLink::new(
-            FaultSpec {
-                corrupt: 0.4,
-                ..FaultSpec::reliable()
-            },
-            23,
-        )
-        .unwrap();
+        let coord = Arc::new(Coordinator::new(fam).with_quarantine_after(1));
+        let corrupting = FaultSpec {
+            corrupt: 0.4,
+            ..FaultSpec::reliable()
+        };
+        let (mut collector, _) = mem_collector(&coord, corrupting, 23, 16);
         for e in 0..300u64 {
             site.observe(&Update::insert(StreamId(0), e, 1));
         }
-        let opts = CollectionOptions::builder().max_attempts(16).build().unwrap();
-        let report = collect_epoch(&mut site, &mut link, &coord, &opts).unwrap();
-        assert!(report.attempts > 1, "corruption should have tripped quarantine");
+        let report = collector.collect(&mut site).unwrap();
+        assert!(
+            report.attempts > 1,
+            "corruption should have tripped quarantine"
+        );
         assert!(!coord.site_status(3).unwrap().quarantined);
-        let merged = coord.merged_synopsis(StreamId(0)).unwrap();
-        for (m, s) in merged
-            .sketches()
-            .iter()
-            .zip(site.synopsis(StreamId(0)).unwrap().sketches())
-        {
-            assert_eq!(m.counters(), s.counters());
-        }
+        assert_matches_site(&coord, &site);
     }
 
     #[test]
-    fn collect_epoch_blackout_is_undelivered() {
+    fn collect_blackout_is_undelivered() {
         let fam = family();
         let mut site = Site::new(1, fam);
         site.observe(&Update::insert(StreamId(0), 1, 1));
-        let coord = Coordinator::new(fam);
-        let mut link = LossyLink::new(
-            FaultSpec {
-                drop: 1.0,
-                ..FaultSpec::reliable()
-            },
-            0,
-        )
-        .unwrap();
-        let opts = CollectionOptions::builder()
-            .max_rounds(4)
-            .max_attempts(2)
-            .backoff_rounds(1)
-            .build()
-            .unwrap();
-        match collect_epoch(&mut site, &mut link, &coord, &opts) {
-            Err(CollectionError::Undelivered { missing, attempts: 2 }) => {
+        let coord = Arc::new(Coordinator::new(fam));
+        let blackout = FaultSpec {
+            drop: 1.0,
+            ..FaultSpec::reliable()
+        };
+        let (mut collector, _) = mem_collector(&coord, blackout, 0, 2);
+        match collector.collect(&mut site) {
+            Err(TransportError::Undelivered {
+                missing,
+                attempts: 2,
+            }) => {
                 assert!(missing > 0);
             }
             other => panic!("expected Undelivered, got {other:?}"),
@@ -1123,15 +727,14 @@ mod tests {
     #[test]
     fn crash_restart_resyncs_and_converges() {
         let fam = family();
-        let coord = Coordinator::new(fam);
-        let mut link = LossyLink::new(FaultSpec::nasty(), 31).unwrap();
-        let opts = CollectionOptions::default();
+        let coord = Arc::new(Coordinator::new(fam));
+        let (mut collector, _) = mem_collector(&coord, FaultSpec::nasty(), 31, 64);
 
         let mut site = Site::new(9, fam);
         for e in 0..500u64 {
             site.observe(&Update::insert(StreamId(0), e, 1));
         }
-        let r1 = collect_epoch(&mut site, &mut link, &coord, &opts).unwrap();
+        let r1 = collector.collect(&mut site).unwrap();
 
         // Epoch 2 is cut and WAL'd but never shipped — then the site dies.
         for e in 500..700u64 {
@@ -1147,16 +750,8 @@ mod tests {
         for e in 700..900u64 {
             site.observe(&Update::insert(StreamId(0), e, 1));
         }
-        let report = collect_epoch(&mut site, &mut link, &coord, &opts).unwrap();
+        let report = collector.collect(&mut site).unwrap();
         assert!(report.resyncs >= 1, "gap must force a resync");
-
-        let merged = coord.merged_synopsis(StreamId(0)).unwrap();
-        for (m, s) in merged
-            .sketches()
-            .iter()
-            .zip(site.synopsis(StreamId(0)).unwrap().sketches())
-        {
-            assert_eq!(m.counters(), s.counters());
-        }
+        assert_matches_site(&coord, &site);
     }
 }

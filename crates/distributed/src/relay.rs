@@ -25,8 +25,10 @@
 //!
 //! [`RelayNode`] bundles the pieces into a runnable 2-level topology
 //! element: a child-facing TCP server and an upstream [`TcpCollector`],
-//! driven by periodic [`RelayNode::flush_upstream`] calls.
+//! driven by periodic [`RelayNode::flush_upstream`] calls. Upstream
+//! delivery is [`Relay::flush_to`] over any [`Collector`].
 
+use crate::collector::{Collector, Link, ResyncSource};
 use crate::coordinator::Coordinator;
 use crate::metrics::TransportMetrics;
 use crate::site::{DeltaMessage, Epoch, EpochCommit, Hello, SiteId, SynopsisMessage};
@@ -203,6 +205,22 @@ impl Relay {
         )?);
         Ok(frames)
     }
+
+    /// Cut an upstream epoch from the current merged child state and
+    /// deliver it through `upstream`, answering its resync demands with
+    /// [`Relay::resync_upstream`] (bounded by the attempt budget).
+    pub fn flush_to<L: Link>(&mut self, upstream: &mut Collector<L>) -> Result<(), TransportError> {
+        let frames = self.cut_upstream()?;
+        upstream.deliver(self.epoch, frames, self)?;
+        Ok(())
+    }
+}
+
+impl ResyncSource for Relay {
+    fn resync_batch(&mut self) -> Result<(Epoch, Vec<Bytes>), WireError> {
+        let frames = self.resync_upstream()?;
+        Ok((self.epoch, frames))
+    }
 }
 
 /// A runnable relay: child-facing TCP server + upstream collection
@@ -211,7 +229,6 @@ pub struct RelayNode {
     relay: Relay,
     server: ServerHandle,
     upstream: TcpCollector,
-    opts: TransportOptions,
 }
 
 impl RelayNode {
@@ -249,7 +266,6 @@ impl RelayNode {
             relay,
             server,
             upstream: collector,
-            opts,
         })
     }
 
@@ -277,26 +293,7 @@ impl RelayNode {
     /// ship it, honouring upstream resync demands (bounded by the
     /// attempt budget).
     pub fn flush_upstream(&mut self) -> Result<(), TransportError> {
-        let frames = self.relay.cut_upstream().map_err(TransportError::Wire)?;
-        self.upstream.ship(self.relay.epoch(), frames)?;
-        let mut resyncs = 0u32;
-        loop {
-            match self.upstream.flush() {
-                Ok(()) => return Ok(()),
-                Err(TransportError::ResyncRequired) => {
-                    resyncs += 1;
-                    if resyncs > self.opts.max_attempts() {
-                        return Err(TransportError::Undelivered {
-                            missing: 0,
-                            attempts: resyncs,
-                        });
-                    }
-                    let frames = self.relay.resync_upstream().map_err(TransportError::Wire)?;
-                    self.upstream.ship(self.relay.epoch(), frames)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.relay.flush_to(&mut self.upstream)
     }
 
     /// Stop the child-facing server and drop the upstream connection.
@@ -359,6 +356,59 @@ mod tests {
                 assert_eq!(d.counters(), r.counters());
             }
         }
+    }
+
+    /// The relay's upstream delivery is the collector protocol on any
+    /// link: over a faulty in-process link the root converges exactly,
+    /// and a root that lost the relay's history is healed by a resync.
+    #[test]
+    fn relay_flushes_through_a_faulty_in_memory_link() {
+        use crate::metrics::TransportMetrics;
+        use crate::network::{FaultSpec, LossyLink, MemCollector};
+
+        let fam = family();
+        let mut relay = Relay::new(1000, fam);
+        let opts = TransportOptions::builder()
+            .max_attempts(64)
+            .build()
+            .unwrap();
+        let metrics = Arc::new(TransportMetrics::new());
+        let upstream = |root: &Arc<Coordinator>, seed| {
+            let link = LossyLink::new(FaultSpec::nasty(), seed).unwrap();
+            MemCollector::new(Arc::clone(root), link, opts, Arc::clone(&metrics))
+        };
+        let root = Arc::new(Coordinator::new(fam));
+        let mut collector = upstream(&root, 7);
+        let mut site = Site::new(1, fam);
+        for round in 0..3u64 {
+            for e in 0..100u64 {
+                site.observe(&Update::insert(StreamId(0), round * 1000 + e, 1));
+            }
+            for frame in &site.cut_epoch().unwrap().frames {
+                relay.coordinator().ingest_frame_from(1, frame).unwrap();
+            }
+            relay.flush_to(&mut collector).unwrap();
+        }
+        let matches_site = |root: &Coordinator, site: &Site| {
+            let relayed = root.merged_synopsis(StreamId(0)).unwrap();
+            let direct = site.synopsis(StreamId(0)).unwrap();
+            for (d, r) in direct.sketches().iter().zip(relayed.sketches()) {
+                assert_eq!(d.counters(), r.counters());
+            }
+        };
+        matches_site(&root, &site);
+
+        // A fresh root sees the relay's next delta chain from epoch 3:
+        // an epoch gap, healed by the cumulative resync.
+        site.observe(&Update::insert(StreamId(0), 9999, 1));
+        for frame in &site.cut_epoch().unwrap().frames {
+            relay.coordinator().ingest_frame_from(1, frame).unwrap();
+        }
+        let cold = Arc::new(Coordinator::new(fam));
+        let mut collector = upstream(&cold, 8);
+        relay.flush_to(&mut collector).unwrap();
+        matches_site(&cold, &site);
+        assert!(metrics.retransmits.get() > 0, "the link must have bitten");
     }
 
     #[test]

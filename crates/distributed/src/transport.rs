@@ -1,9 +1,9 @@
 //! Real networked collection: a dependency-light nonblocking TCP layer
 //! speaking the SSWL frame container.
 //!
-//! The in-memory [`crate::network::LossyLink`] proved the *protocol*
-//! (watermarks, resync, quarantine); this module carries the same frames
-//! over real sockets. Design points, in paper terms:
+//! The client half of the protocol lives in [`crate::collector`]; this
+//! module supplies its socket [`Link`] ([`TcpLink`], driven as a
+//! [`TcpCollector`]) and the serving half. Design points, in paper terms:
 //!
 //! * **Framing.** SSWL frames are self-delimiting
 //!   (`magic | kind | len | payload | crc`), so the byte stream needs no
@@ -11,13 +11,12 @@
 //!   validating the header with [`wire::frame_size_hint`] *before*
 //!   buffering — a hostile or desynchronized peer can never make it
 //!   allocate more than one max-size frame.
-//! * **Acks and credit.** The coordinator answers every `Commit` with an
-//!   [`AckMessage`] ([`FrameKind::Ack`]). A site may have at most
-//!   `credit_window` unacked epochs in flight; the window advances on
-//!   complete acks. Incomplete acks (frames lost in flight) retransmit
-//!   the whole epoch batch — duplicates are harmless because the
-//!   coordinator's watermark chain refuses them (`StaleEpoch`) and the
-//!   server's ledger counts refused-as-stale frames as applied.
+//! * **Acks.** [`CoordinatorHandler`] answers every `Commit` with an
+//!   [`AckMessage`] ([`FrameKind::Ack`]) built from a per-epoch delivery
+//!   ledger: `complete` only when every announced content frame applied
+//!   (refused-as-stale duplicates count as applied), plus the
+//!   coordinator's resync and quarantine flags and any unrecoverable
+//!   [`Rejection`].
 //! * **Bounded everything.** Every buffer has a hard cap: read buffers
 //!   via [`FrameReader`], server write queues via `send_buf`, the client
 //!   pipeline via `credit_window`, connection counts via `max_conns`. A
@@ -25,12 +24,11 @@
 //!   disconnected + quarantined — siblings never stall and the
 //!   coordinator never grows memory.
 //! * **Failure taxonomy.** Connect failures retry with bounded
-//!   exponential backoff (mirroring
-//!   [`CollectionOptions`](crate::network::CollectionOptions) semantics);
-//!   read/write timeouts reconnect and retransmit pending epochs; stream
-//!   desync (bad magic mid-stream) kills the connection; CRC-corrupt
-//!   frames are attributed to the site and feed the coordinator's
-//!   quarantine machinery; epoch gaps surface as `needs_resync` acks and
+//!   exponential backoff; read/write timeouts reconnect and retransmit
+//!   pending epochs; stream desync (bad magic mid-stream) kills the
+//!   connection; CRC-corrupt frames are attributed to the site and feed
+//!   the coordinator's quarantine machinery (a quarantined site's second
+//!   `Hello` lifts it); epoch gaps surface as `needs_resync` acks and
 //!   heal with a cumulative resync.
 //!
 //! [`FaultyListener`] is the adversary: a TCP proxy that drops, delays,
@@ -38,10 +36,11 @@
 //! using the same seeded [`FaultSpec`] the in-memory link uses, so soak
 //! tests exercise the whole recovery ladder over real sockets.
 
+use crate::collector::{Collector, Link, Recv};
 use crate::coordinator::{Coordinator, CoordinatorError};
 use crate::metrics::TransportMetrics;
 use crate::network::{FaultSpec, FaultSpecError, LossyLink};
-use crate::site::{DeltaMessage, Epoch, EpochCommit, Hello, Site, SiteId, SynopsisMessage};
+use crate::site::{DeltaMessage, Epoch, EpochCommit, Hello, SiteId, SynopsisMessage};
 use crate::wire::{
     self, decode_frame, decode_payload, encode_frame, FrameKind, WireError, FRAME_OVERHEAD,
 };
@@ -73,6 +72,42 @@ pub struct AckMessage {
     pub needs_resync: bool,
     /// The site is quarantined; back off before retrying.
     pub quarantined: bool,
+    /// A frame of the epoch was refused for a reason no retransmission
+    /// or resync can fix. The site must stop.
+    pub rejected: Option<Rejection>,
+}
+
+/// An unrecoverable coordinator verdict on a site's frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Rejection {
+    /// The site's coins differ from the coordinator's.
+    CoinMismatch,
+    /// The coordinator's estimator cannot use the site's synopsis.
+    Estimate,
+}
+
+impl Rejection {
+    /// The unrecoverable part of a coordinator verdict, if any.
+    pub(crate) fn of(err: &CoordinatorError) -> Option<Rejection> {
+        match err {
+            CoordinatorError::CoinMismatch { .. } => Some(Rejection::CoinMismatch),
+            CoordinatorError::Estimate(_) => Some(Rejection::Estimate),
+            CoordinatorError::Wire(_)
+            | CoordinatorError::UnknownStream(_)
+            | CoordinatorError::StaleEpoch { .. }
+            | CoordinatorError::EpochGap { .. }
+            | CoordinatorError::Quarantined { .. } => None,
+        }
+    }
+}
+
+impl fmt::Display for Rejection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Rejection::CoinMismatch => write!(f, "coin mismatch"),
+            Rejection::Estimate => write!(f, "estimator incompatibility"),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -293,7 +328,7 @@ pub enum TransportError {
     /// Invalid [`TransportOptions`].
     Options(TransportOptionsError),
     /// The peer demands a cumulative resync; pending epochs were
-    /// discarded. Ship [`Site::resync_frames`] and flush again.
+    /// discarded. Ship [`crate::site::Site::resync_frames`] and flush again.
     ResyncRequired,
     /// Attempt budget exhausted with epochs still unacknowledged.
     Undelivered {
@@ -302,8 +337,16 @@ pub enum TransportError {
         /// Attempts used.
         attempts: u32,
     },
-    /// The connection is gone and cannot be re-established.
-    Closed,
+    /// The coordinator refused the site's epoch for good (see
+    /// [`Rejection`]); retransmission cannot help.
+    Rejected {
+        /// The refused site.
+        site: SiteId,
+        /// The epoch whose ack carried the verdict.
+        epoch: Epoch,
+        /// Why.
+        reason: Rejection,
+    },
 }
 
 impl fmt::Display for TransportError {
@@ -319,7 +362,14 @@ impl fmt::Display for TransportError {
             TransportError::Undelivered { missing, attempts } => {
                 write!(f, "{missing} frames undelivered after {attempts} attempts")
             }
-            TransportError::Closed => write!(f, "connection closed"),
+            TransportError::Rejected {
+                site,
+                epoch,
+                reason,
+            } => write!(
+                f,
+                "coordinator rejected epoch {epoch} of site {site}: {reason}"
+            ),
         }
     }
 }
@@ -408,11 +458,10 @@ impl FrameReader {
 // ---------------------------------------------------------------------
 // Client
 
-/// Connect to `addr` with bounded exponential backoff, reusing the
-/// `max_attempts`/`backoff` semantics of
-/// [`CollectionOptions`](crate::network::CollectionOptions). The
-/// returned stream is blocking with read/write timeouts set.
-pub fn connect_with_backoff(
+/// Connect to `addr` with bounded exponential backoff (`max_attempts`
+/// tries, `backoff` doubling between them). The returned stream is
+/// blocking with read/write timeouts set.
+fn connect_with_backoff(
     addr: SocketAddr,
     opts: &TransportOptions,
     metrics: &TransportMetrics,
@@ -440,67 +489,19 @@ pub fn connect_with_backoff(
     })))
 }
 
-/// One unacknowledged epoch batch.
+/// The socket [`Link`]: one TCP connection to a collection server,
+/// opened on demand and reopened after a reset.
 #[derive(Debug)]
-struct PendingEpoch {
-    epoch: Epoch,
-    frames: Vec<Bytes>,
-    attempts: u32,
-}
-
-/// Site-side TCP collection client with a credit-based pipeline.
-///
-/// [`TcpCollector::ship`] enqueues one epoch's frames, blocking only
-/// when the credit window is full; [`TcpCollector::flush`] drains all
-/// pending acks. [`TcpCollector::collect`] is the one-call driver
-/// mirroring [`crate::network::collect_epoch`]: cut, ship, honour
-/// resync demands, return the sealed checkpoint.
-#[derive(Debug)]
-pub struct TcpCollector {
+pub struct TcpLink {
     addr: SocketAddr,
     opts: TransportOptions,
     metrics: Arc<TransportMetrics>,
     stream: Option<TcpStream>,
     reader: FrameReader,
-    pending: VecDeque<PendingEpoch>,
-    needs_resync: bool,
 }
 
-/// Outcome of one ack-read attempt, internal to the retry loop.
-enum AckRead {
-    Ack(AckMessage),
-    /// Read timeout — the peer is slow or a partition is in effect.
-    TimedOut,
-    /// The connection is unusable (EOF, desync, i/o error).
-    Broken,
-}
-
-impl TcpCollector {
-    /// A collector shipping to `addr`.
-    pub fn new(addr: SocketAddr, opts: TransportOptions, metrics: Arc<TransportMetrics>) -> Self {
-        let max_frame = opts.max_frame();
-        TcpCollector {
-            addr,
-            opts,
-            metrics,
-            stream: None,
-            reader: FrameReader::new(max_frame),
-            pending: VecDeque::new(),
-            needs_resync: false,
-        }
-    }
-
-    /// Epochs currently in flight (unacknowledged).
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether the peer has demanded a resync that was not yet shipped.
-    pub fn resync_pending(&self) -> bool {
-        self.needs_resync
-    }
-
-    fn ensure_connected(&mut self) -> Result<(), TransportError> {
+impl Link for TcpLink {
+    fn connect(&mut self) -> Result<(), TransportError> {
         if self.stream.is_none() {
             let stream = connect_with_backoff(self.addr, &self.opts, &self.metrics)?;
             self.reader = FrameReader::new(self.opts.max_frame());
@@ -509,88 +510,32 @@ impl TcpCollector {
         Ok(())
     }
 
-    /// Write one batch of frames; `Err` means the connection died
-    /// mid-write (the caller reconnects and retransmits).
-    fn write_batch(&mut self, frames: &[Bytes]) -> Result<(), TransportError> {
-        self.ensure_connected()?;
-        let Some(stream) = self.stream.as_mut() else {
-            return Err(TransportError::Closed);
-        };
-        for frame in frames {
-            if let Err(e) = stream.write_all(frame) {
-                self.stream = None;
-                return Err(TransportError::Io(e));
-            }
-            self.metrics.frames_out.inc();
-            self.metrics.bytes_out.add(frame.len() as u64);
-        }
-        Ok(())
+    fn send(&mut self, frame: &Bytes) -> bool {
+        self.stream
+            .as_mut()
+            .is_some_and(|stream| stream.write_all(frame).is_ok())
     }
 
-    /// Reconnect and retransmit every pending batch in epoch order,
-    /// retrying reconnects within the attempt budget (a connection that
-    /// dies mid-retransmit is the common case under fault injection).
-    fn resend_all(&mut self) -> Result<(), TransportError> {
-        let batches: Vec<Vec<Bytes>> = self.pending.iter().map(|p| p.frames.clone()).collect();
-        let mut last = TransportError::Closed;
-        for _ in 0..self.opts.max_attempts() {
-            self.stream = None;
-            // Propagate connect failures: connect_with_backoff already
-            // retried within the attempt budget.
-            self.ensure_connected()?;
-            let mut ok = true;
-            for frames in &batches {
-                self.metrics.retransmits.add(frames.len() as u64);
-                if let Err(e) = self.write_batch(frames) {
-                    last = e;
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                return Ok(());
-            }
-        }
-        Err(last)
-    }
-
-    /// Read one ack frame, classifying failures for the retry loop.
-    fn read_ack(&mut self) -> AckRead {
+    fn recv(&mut self) -> Recv {
         loop {
             match self.reader.next_frame() {
-                Ok(Some(frame)) => {
-                    self.metrics.frames_in.inc();
-                    let Ok((kind, _)) = decode_frame(frame.clone()) else {
-                        self.metrics.desyncs.inc();
-                        return AckRead::Broken;
-                    };
-                    if kind != FrameKind::Ack {
-                        continue; // stray frame kinds are ignored
-                    }
-                    match decode_payload::<AckMessage>(frame) {
-                        Ok((_, ack)) => return AckRead::Ack(ack),
-                        Err(_) => {
-                            self.metrics.desyncs.inc();
-                            return AckRead::Broken;
-                        }
-                    }
-                }
+                Ok(Some(frame)) => return Recv::Frame(frame),
                 Ok(None) => {}
                 Err(_) => {
                     self.metrics.desyncs.inc();
-                    return AckRead::Broken;
+                    return Recv::Broken;
                 }
             }
             let Some(stream) = self.stream.as_mut() else {
-                return AckRead::Broken;
+                return Recv::Broken;
             };
             let mut buf = [0u8; 4096];
             match stream.read(&mut buf) {
-                Ok(0) => return AckRead::Broken,
+                Ok(0) => return Recv::Broken,
                 Ok(n) => {
                     self.metrics.bytes_in.add(n as u64);
                     let Some(chunk) = buf.get(..n) else {
-                        return AckRead::Broken;
+                        return Recv::Broken;
                     };
                     self.reader.extend(chunk);
                 }
@@ -598,177 +543,36 @@ impl TcpCollector {
                 Err(e)
                     if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
                 {
-                    return AckRead::TimedOut;
+                    return Recv::TimedOut;
                 }
-                Err(_) => return AckRead::Broken,
+                Err(_) => return Recv::Broken,
             }
         }
     }
 
-    /// Charge a failed delivery round to the oldest pending epoch and
-    /// fail once its budget is gone.
-    fn charge_oldest(&mut self) -> Result<u32, TransportError> {
-        let max = self.opts.max_attempts();
-        let Some(oldest) = self.pending.front_mut() else {
-            return Ok(0);
+    fn reset(&mut self) {
+        self.stream = None;
+    }
+
+    fn backoff(&mut self, retry: u32) {
+        thread::sleep(self.opts.backoff_for(retry));
+    }
+}
+
+/// Site-side TCP collection client: a [`Collector`] over a [`TcpLink`].
+pub type TcpCollector = Collector<TcpLink>;
+
+impl Collector<TcpLink> {
+    /// A collector shipping to `addr`.
+    pub fn new(addr: SocketAddr, opts: TransportOptions, metrics: Arc<TransportMetrics>) -> Self {
+        let link = TcpLink {
+            addr,
+            opts,
+            metrics: Arc::clone(&metrics),
+            stream: None,
+            reader: FrameReader::new(opts.max_frame()),
         };
-        oldest.attempts += 1;
-        if oldest.attempts > max {
-            return Err(TransportError::Undelivered {
-                missing: oldest.frames.len(),
-                attempts: oldest.attempts,
-            });
-        }
-        Ok(oldest.attempts)
-    }
-
-    /// Block until at least one pending epoch resolves (acked, discarded
-    /// by a resync demand, or failed for good).
-    fn await_progress(&mut self) -> Result<(), TransportError> {
-        while !self.pending.is_empty() {
-            match self.read_ack() {
-                AckRead::Ack(ack) => {
-                    let Some(pos) = self.pending.iter().position(|p| p.epoch == ack.epoch)
-                    else {
-                        continue; // ack for an epoch we no longer track
-                    };
-                    if ack.needs_resync {
-                        // Everything in flight is superseded by the
-                        // cumulative resync the caller must now ship.
-                        self.pending.clear();
-                        self.needs_resync = true;
-                        return Ok(());
-                    }
-                    if ack.complete && !ack.quarantined {
-                        self.pending.remove(pos);
-                        return Ok(());
-                    }
-                    // Incomplete (frames lost in flight) or quarantined:
-                    // back off if told to, then retransmit that batch.
-                    let attempts = {
-                        let Some(entry) = self.pending.get_mut(pos) else {
-                            continue;
-                        };
-                        entry.attempts += 1;
-                        if entry.attempts > self.opts.max_attempts() {
-                            return Err(TransportError::Undelivered {
-                                missing: entry.frames.len(),
-                                attempts: entry.attempts,
-                            });
-                        }
-                        entry.attempts
-                    };
-                    if ack.quarantined {
-                        self.metrics.backoff_sleeps.inc();
-                        thread::sleep(self.opts.backoff_for(attempts));
-                    }
-                    let frames = self
-                        .pending
-                        .get(pos)
-                        .map(|p| p.frames.clone())
-                        .unwrap_or_default();
-                    self.metrics.retransmits.add(frames.len() as u64);
-                    if self.write_batch(&frames).is_err() {
-                        self.charge_oldest()?;
-                        self.resend_all()?;
-                    }
-                }
-                AckRead::TimedOut => {
-                    self.metrics.timeouts.inc();
-                    self.charge_oldest()?;
-                    self.metrics.backoff_sleeps.inc();
-                    thread::sleep(self.opts.backoff());
-                    self.resend_all()?;
-                }
-                AckRead::Broken => {
-                    self.charge_oldest()?;
-                    self.resend_all()?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Enqueue one epoch's frames, waiting for credit if the window is
-    /// full, then transmit them.
-    pub fn ship(&mut self, epoch: Epoch, frames: Vec<Bytes>) -> Result<(), TransportError> {
-        while self.pending.len() >= self.opts.credit_window() {
-            self.metrics.backpressure_stalls.inc();
-            self.await_progress()?;
-            if self.needs_resync {
-                // The window drained by discard; the caller must resync
-                // before this epoch can meaningfully ship — but the
-                // frames are not lost: they stay pending and ride behind
-                // the resync.
-                break;
-            }
-        }
-        self.pending.push_back(PendingEpoch {
-            epoch,
-            frames: frames.clone(),
-            attempts: 1,
-        });
-        if self.write_batch(&frames).is_err() {
-            self.charge_oldest()?;
-            self.resend_all()?;
-        }
-        Ok(())
-    }
-
-    /// Drain every pending ack. Returns [`TransportError::ResyncRequired`]
-    /// (once, clearing the flag) if the peer demanded a cumulative
-    /// resync; ship [`Site::resync_frames`] and flush again.
-    pub fn flush(&mut self) -> Result<(), TransportError> {
-        while !self.pending.is_empty() && !self.needs_resync {
-            self.await_progress()?;
-        }
-        if self.needs_resync {
-            self.needs_resync = false;
-            return Err(TransportError::ResyncRequired);
-        }
-        Ok(())
-    }
-
-    /// Run one full collection cycle for `site` over the wire: cut the
-    /// next epoch, ship it, drain acks, honour resync demands (bounded
-    /// by the attempt budget), and hand back the site's sealed
-    /// checkpoint. The TCP twin of [`crate::network::collect_epoch`].
-    pub fn collect(
-        &mut self,
-        site: &mut Site,
-    ) -> Result<crate::network::CollectionReport, TransportError> {
-        let cut = site.cut_epoch().map_err(TransportError::Wire)?;
-        let epoch = cut.epoch;
-        self.ship(epoch, cut.frames)?;
-        let mut resyncs = 0u32;
-        loop {
-            let demand = match self.flush() {
-                Ok(()) => site.recovering(),
-                Err(TransportError::ResyncRequired) => true,
-                Err(e) => return Err(e),
-            };
-            if !demand {
-                break;
-            }
-            resyncs += 1;
-            if resyncs > self.opts.max_attempts() {
-                return Err(TransportError::Undelivered {
-                    missing: 0,
-                    attempts: resyncs,
-                });
-            }
-            let frames = site.resync_frames().map_err(TransportError::Wire)?;
-            self.ship(site.epoch(), frames)?;
-        }
-        let attempts = 1 + resyncs;
-        Ok(crate::network::CollectionReport {
-            epoch,
-            attempts,
-            rounds: attempts,
-            transmissions: 0,
-            resyncs,
-            checkpoint: cut.checkpoint,
-        })
+        Collector::with_link(link, opts, metrics)
     }
 }
 
@@ -993,9 +797,11 @@ fn serve_loop<H: FrameHandler>(
             }
             // Caps: a peer that will not drain its acks is wedged —
             // disconnect instead of growing memory.
+            // Quarantine before counting: the counter announces a
+            // finished verdict.
             if conn.out_bytes > opts.send_buf() {
-                metrics.backpressure_stalls.inc();
                 handler.on_overflow(*id);
+                metrics.backpressure_stalls.inc();
                 dead.push(*id);
                 continue;
             }
@@ -1038,6 +844,8 @@ struct LedgerEntry {
     applied: HashSet<(u32, u32)>,
     /// The commit's announced content-frame count, once seen.
     expected: Option<u32>,
+    /// An unrecoverable verdict on one of the epoch's frames.
+    rejected: Option<Rejection>,
 }
 
 /// [`FrameHandler`] gluing a [`Coordinator`] to the frame server: routes
@@ -1055,8 +863,7 @@ pub struct CoordinatorHandler {
     /// Delivery ledger, pruned per site to a bounded epoch window.
     ledger: HashMap<SiteId, HashMap<Epoch, LedgerEntry>>,
     /// Hellos seen per quarantined site; the second one (the peer backed
-    /// off and retried) lifts the quarantine — the TCP analogue of the
-    /// in-process backoff-and-release protocol.
+    /// off and retried) lifts the quarantine.
     quarantine_hellos: HashMap<SiteId, u32>,
 }
 
@@ -1079,29 +886,18 @@ impl CoordinatorHandler {
         }
     }
 
-    /// Record an applied (or harmlessly stale) content frame.
-    fn ledger_apply(&mut self, site: SiteId, epoch: Epoch, key: (u32, u32)) {
+    /// The ledger entry of `(site, epoch)`. Keeps a bounded window of
+    /// recent epochs per site so a chatty or confused peer cannot grow
+    /// the ledger without bound.
+    fn ledger_entry(&mut self, site: SiteId, epoch: Epoch) -> &mut LedgerEntry {
         let per_site = self.ledger.entry(site).or_default();
-        per_site.entry(epoch).or_default().applied.insert(key);
-        Self::prune_ledger(per_site, epoch, self.credit_window);
-    }
-
-    /// Record a commit's announced frame count.
-    fn ledger_expect(&mut self, site: SiteId, epoch: Epoch, expected: u32) {
-        let per_site = self.ledger.entry(site).or_default();
-        per_site.entry(epoch).or_default().expected = Some(expected);
-        Self::prune_ledger(per_site, epoch, self.credit_window);
-    }
-
-    /// Keep a bounded window of recent epochs per site so a chatty or
-    /// confused peer cannot grow the ledger without bound.
-    fn prune_ledger(per_site: &mut HashMap<Epoch, LedgerEntry>, epoch: Epoch, window: usize) {
-        let keep = (2 * window as u64).max(4);
+        let keep = (2 * self.credit_window as u64).max(4);
         if per_site.len() as u64 > keep {
             if let Some(min) = epoch.checked_sub(keep) {
                 per_site.retain(|&e, _| e > min);
             }
         }
+        per_site.entry(epoch).or_default()
     }
 
     /// Is epoch `epoch` of `site` fully delivered according to the
@@ -1126,21 +922,22 @@ impl FrameHandler for CoordinatorHandler {
             }
             return Vec::new();
         };
-        let (site, routing) = match kind {
+        // (site, epoch, content-frame key, announced frame count)
+        let (site, epoch, key, expected) = match kind {
             FrameKind::Hello => match decode_payload::<Hello>(frame.clone()) {
-                Ok((_, h)) => (h.site, None),
+                Ok((_, h)) => (h.site, h.resume_epoch, None, None),
                 Err(_) => return Vec::new(),
             },
             FrameKind::Delta => match decode_payload::<DeltaMessage>(frame.clone()) {
-                Ok((_, d)) => (d.site, Some((d.epoch, (d.stream.0, d.seq), None))),
+                Ok((_, d)) => (d.site, d.epoch, Some((d.stream.0, d.seq)), None),
                 Err(_) => return Vec::new(),
             },
             FrameKind::Synopsis => match decode_payload::<SynopsisMessage>(frame.clone()) {
-                Ok((_, s)) => (s.site, Some((s.epoch, (s.stream.0, u32::MAX), None))),
+                Ok((_, s)) => (s.site, s.epoch, Some((s.stream.0, u32::MAX)), None),
                 Err(_) => return Vec::new(),
             },
             FrameKind::Commit => match decode_payload::<EpochCommit>(frame.clone()) {
-                Ok((_, c)) => (c.site, Some((c.epoch, (u32::MAX, u32::MAX), Some(c.deltas)))),
+                Ok((_, c)) => (c.site, c.epoch, None, Some(c.deltas)),
                 Err(_) => return Vec::new(),
             },
             // Legacy flush markers and stray acks carry no mergeable
@@ -1150,8 +947,7 @@ impl FrameHandler for CoordinatorHandler {
         self.sites.insert(conn, site);
 
         // A quarantined site's retried Hello is its backoff signal: the
-        // second one lifts the quarantine (bounded release, mirroring
-        // the in-process driver).
+        // second one lifts the quarantine (bounded release).
         if kind == FrameKind::Hello {
             let quarantined = self
                 .coordinator
@@ -1176,17 +972,20 @@ impl FrameHandler for CoordinatorHandler {
             // A stale epoch is a retransmitted frame the coordinator
             // already holds — delivered, as far as the ack is concerned.
             Err(CoordinatorError::StaleEpoch { .. }) => true,
-            Err(_) => false,
+            Err(e) => {
+                if let Some(reason) = Rejection::of(e) {
+                    self.ledger_entry(site, epoch).rejected = Some(reason);
+                }
+                false
+            }
         };
 
         match kind {
             FrameKind::Delta | FrameKind::Synopsis => {
-                if applied {
-                    if let Some((epoch, key, _)) = routing {
-                        self.ledger_apply(site, epoch, key);
-                        if verdict.is_ok() && self.role == ServerRole::Relay {
-                            self.metrics.relay_merges.inc();
-                        }
+                if let (true, Some(key)) = (applied, key) {
+                    self.ledger_entry(site, epoch).applied.insert(key);
+                    if verdict.is_ok() && self.role == ServerRole::Relay {
+                        self.metrics.relay_merges.inc();
                     }
                 }
                 Vec::new()
@@ -1195,12 +994,16 @@ impl FrameHandler for CoordinatorHandler {
                 // Commit closes the batch: answer with an honest ack even
                 // when the verdict was a refusal (quarantine, gap) — the
                 // peer needs the flags to react.
-                let Some((epoch, _, Some(expected))) = routing else {
+                let Some(expected) = expected else {
                     return Vec::new();
                 };
-                if applied {
-                    self.ledger_expect(site, epoch, expected);
-                }
+                let rejected = {
+                    let entry = self.ledger_entry(site, epoch);
+                    if applied {
+                        entry.expected = Some(expected);
+                    }
+                    entry.rejected
+                };
                 let status = self.coordinator.site_status(site);
                 let ack = AckMessage {
                     site,
@@ -1208,6 +1011,7 @@ impl FrameHandler for CoordinatorHandler {
                     complete: self.ledger_complete(site, epoch),
                     needs_resync: status.as_ref().map(|s| s.needs_resync).unwrap_or(false),
                     quarantined: status.as_ref().map(|s| s.quarantined).unwrap_or(false),
+                    rejected,
                 };
                 match encode_frame(FrameKind::Ack, &ack) {
                     Ok(frame) => {
@@ -1263,8 +1067,8 @@ impl CoordinatorServer {
 /// client→backend traffic *frame by frame* through a seeded
 /// [`LossyLink`] (drops, corruption, duplication, delay, reordering,
 /// truncation, partition windows), and passes backend→client traffic
-/// (acks) through clean — the same "acks are reliable" assumption the
-/// in-memory protocol documents.
+/// (acks) through clean — acks are reliable here, as on the in-memory
+/// [`crate::network::MemLink`].
 ///
 /// Truncation writes the frame's prefix and then closes the connection:
 /// over a byte stream a cut frame poisons everything after it, so the
@@ -1497,6 +1301,7 @@ fn pump_connection(
 mod tests {
     use super::*;
     use crate::network::{fault_seed, SeedEcho};
+    use crate::site::Site;
     use setstream_core::SketchFamily;
     use setstream_stream::{StreamId, Update};
 
@@ -1516,6 +1321,21 @@ mod tests {
             .max_attempts(8)
             .build()
             .unwrap()
+    }
+
+    fn serve(
+        coord: &Arc<Coordinator>,
+        opts: TransportOptions,
+        metrics: &Arc<TransportMetrics>,
+    ) -> ServerHandle {
+        CoordinatorServer::spawn(
+            "127.0.0.1:0",
+            Arc::clone(coord),
+            ServerRole::Coordinator,
+            opts,
+            Arc::clone(metrics),
+        )
+        .unwrap()
     }
 
     fn assert_matches_site(coord: &Coordinator, site: &Site, stream: StreamId) {
@@ -1645,14 +1465,7 @@ mod tests {
         let coord = Arc::new(Coordinator::new(fam));
         let metrics = Arc::new(TransportMetrics::new());
         let opts = quick_opts();
-        let server = CoordinatorServer::spawn(
-            "127.0.0.1:0",
-            Arc::clone(&coord),
-            ServerRole::Coordinator,
-            opts,
-            Arc::clone(&metrics),
-        )
-        .unwrap();
+        let server = serve(&coord, opts, &metrics);
 
         let mut site = Site::new(1, fam);
         let mut collector = TcpCollector::new(server.addr(), opts, Arc::clone(&metrics));
@@ -1670,6 +1483,59 @@ mod tests {
     }
 
     #[test]
+    fn loopback_report_counts_what_was_written() {
+        let fam = family();
+        let coord = Arc::new(Coordinator::new(fam));
+        let metrics = Arc::new(TransportMetrics::new());
+        let opts = quick_opts();
+        let server = serve(&coord, opts, &metrics);
+
+        let mut site = Site::new(2, fam);
+        for e in 0..200u64 {
+            site.observe(&Update::insert(StreamId(e as u32 % 2), e, 1));
+        }
+        let mut collector = TcpCollector::new(server.addr(), opts, Arc::clone(&metrics));
+        let report = collector.collect(&mut site).unwrap();
+        // The cut is Hello + one delta per touched stream + Commit.
+        let cut_frames = 2 + 2;
+        assert!(report.transmissions >= cut_frames, "{report:?}");
+        assert!(report.attempts >= 1);
+        assert_eq!(metrics.collections.get(), 1);
+        assert_eq!(
+            metrics.checkpoint_bytes.get(),
+            report.checkpoint.len() as u64
+        );
+    }
+
+    #[test]
+    fn coin_mismatch_is_fatal_over_tcp_without_retransmits() {
+        let coord = Arc::new(Coordinator::new(family()));
+        let metrics = Arc::new(TransportMetrics::new());
+        let opts = quick_opts();
+        let server = serve(&coord, opts, &metrics);
+
+        let other = SketchFamily::builder()
+            .copies(8)
+            .second_level(4)
+            .seed(1)
+            .build();
+        let mut site = Site::new(4, other);
+        site.observe(&Update::insert(StreamId(0), 1, 1));
+        let mut collector = TcpCollector::new(server.addr(), opts, Arc::clone(&metrics));
+        match collector.collect(&mut site) {
+            Err(TransportError::Rejected {
+                site: 4,
+                reason: Rejection::CoinMismatch,
+                ..
+            }) => {}
+            other => panic!("expected a coin-mismatch rejection, got {other:?}"),
+        }
+        assert_eq!(metrics.retransmits.get(), 0);
+        assert_eq!(metrics.collection_failures.get(), 1);
+        assert_eq!(collector.in_flight(), 0);
+    }
+
+    #[test]
     fn pipelined_epochs_respect_credit_window() {
         let fam = family();
         let coord = Arc::new(Coordinator::new(fam));
@@ -1679,14 +1545,7 @@ mod tests {
             .credit_window(2)
             .build()
             .unwrap();
-        let server = CoordinatorServer::spawn(
-            "127.0.0.1:0",
-            Arc::clone(&coord),
-            ServerRole::Coordinator,
-            opts,
-            Arc::clone(&metrics),
-        )
-        .unwrap();
+        let server = serve(&coord, opts, &metrics);
 
         let mut site = Site::new(7, fam);
         let mut collector = TcpCollector::new(server.addr(), opts, Arc::clone(&metrics));
@@ -1714,14 +1573,7 @@ mod tests {
         let coord = Arc::new(Coordinator::new(fam));
         let metrics = Arc::new(TransportMetrics::new());
         let opts = quick_opts();
-        let server = CoordinatorServer::spawn(
-            "127.0.0.1:0",
-            Arc::clone(&coord),
-            ServerRole::Coordinator,
-            opts,
-            Arc::clone(&metrics),
-        )
-        .unwrap();
+        let server = serve(&coord, opts, &metrics);
         let proxy = FaultyListener::spawn(
             server.addr(),
             FaultSpec {
@@ -1760,14 +1612,7 @@ mod tests {
             .send_buf(512)
             .build()
             .unwrap();
-        let server = CoordinatorServer::spawn(
-            "127.0.0.1:0",
-            Arc::clone(&coord),
-            ServerRole::Coordinator,
-            opts,
-            Arc::clone(&metrics),
-        )
-        .unwrap();
+        let server = serve(&coord, opts, &metrics);
 
         // The wedged peer: writes valid frames, never reads.
         let mut wedged = TcpStream::connect(server.addr()).unwrap();
@@ -1798,18 +1643,23 @@ mod tests {
                 break;
             }
         }
+        let quarantined = || {
+            coord
+                .site_status(66)
+                .map(|s| s.quarantined)
+                .unwrap_or(false)
+        };
         let deadline = Instant::now() + Duration::from_secs(5);
-        while Instant::now() < deadline && metrics.backpressure_stalls.get() == 0 {
+        while Instant::now() < deadline
+            && (metrics.backpressure_stalls.get() == 0 || !quarantined())
+        {
             thread::sleep(Duration::from_millis(10));
         }
         assert!(
             metrics.backpressure_stalls.get() >= 1,
             "wedged peer must trip the write-queue cap"
         );
-        assert!(
-            coord.site_status(66).map(|s| s.quarantined).unwrap_or(false),
-            "wedged peer must be quarantined"
-        );
+        assert!(quarantined(), "wedged peer must be quarantined");
 
         // A healthy sibling is unaffected.
         let mut site = Site::new(5, fam);
@@ -1828,14 +1678,7 @@ mod tests {
         let coord = Arc::new(Coordinator::new(fam));
         let metrics = Arc::new(TransportMetrics::new());
         let opts = quick_opts();
-        let server = CoordinatorServer::spawn(
-            "127.0.0.1:0",
-            Arc::clone(&coord),
-            ServerRole::Coordinator,
-            opts,
-            Arc::clone(&metrics),
-        )
-        .unwrap();
+        let server = serve(&coord, opts, &metrics);
 
         let mut site = Site::new(9, fam);
         let mut collector = TcpCollector::new(server.addr(), opts, Arc::clone(&metrics));

@@ -13,10 +13,12 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use setstream_core::SketchFamily;
 use setstream_distributed::coordinator::Coordinator;
-use setstream_distributed::metrics::CollectionMetrics;
-use setstream_distributed::network::{collect_epoch, CollectionOptions, FaultSpec, LossyLink};
+use setstream_distributed::metrics::TransportMetrics;
+use setstream_distributed::network::{FaultSpec, LossyLink, MemCollector};
 use setstream_distributed::site::Site;
+use setstream_distributed::TransportOptions;
 use setstream_stream::{StreamId, Update};
+use std::sync::Arc;
 
 const SITES: usize = 2;
 const STREAMS: u32 = 3;
@@ -73,19 +75,17 @@ proptest! {
             .second_level(8)
             .seed(2003)
             .build();
-        let coord = Coordinator::new(fam);
+        let coord = Arc::new(Coordinator::new(fam));
         let mut mirror = Site::new(999, fam); // ground truth: sees ALL traffic
         let mut sites: Vec<Site> = (0..SITES).map(|i| Site::new(i as u32, fam)).collect();
-        let mut links: Vec<LossyLink> = (0..SITES)
-            .map(|i| LossyLink::new(FaultSpec::nasty(), seed ^ (i as u64) << 32).unwrap())
+        let opts = TransportOptions::builder().max_attempts(256).build().unwrap();
+        let cm = Arc::new(TransportMetrics::new());
+        let mut collectors: Vec<MemCollector> = (0..SITES)
+            .map(|i| {
+                let link = LossyLink::new(FaultSpec::nasty(), seed ^ (i as u64) << 32).unwrap();
+                MemCollector::new(Arc::clone(&coord), link, opts, Arc::clone(&cm))
+            })
             .collect();
-        let opts = CollectionOptions::builder()
-            .max_rounds(256)
-            .max_attempts(8)
-            .backoff_rounds(1)
-            .build()
-            .unwrap();
-        let cm = CollectionMetrics::new();
         let mut want_transmissions = 0u64;
         let mut want_resyncs = 0u64;
 
@@ -106,10 +106,10 @@ proptest! {
                 sites[crash_site] = Site::restore_from_bytes(&cut.checkpoint).unwrap();
             }
             for i in 0..SITES {
-                let report = collect_epoch(&mut sites[i], &mut links[i], &coord, &opts)
+                let report = collectors[i]
+                    .collect(&mut sites[i])
                     .expect("collection must converge on a lossy-but-alive link");
                 prop_assert!(report.transmissions > 0);
-                cm.record_report(&report);
                 want_transmissions += report.transmissions;
                 want_resyncs += u64::from(report.resyncs);
             }
@@ -122,7 +122,7 @@ proptest! {
         // quarantine the corruption tripped was released again (the run
         // converged).
         prop_assert_eq!(cm.collections.get(), (SITES * plan.len()) as u64);
-        prop_assert_eq!(cm.transmissions.get(), want_transmissions);
+        prop_assert_eq!(cm.frames_out.get(), want_transmissions);
         prop_assert_eq!(cm.resyncs.get(), want_resyncs);
         prop_assert!(cm.resyncs.get() >= 1, "crash must force a resync");
         let m = coord.metrics();
@@ -130,7 +130,10 @@ proptest! {
         // A mangled frame the link also duplicates is rejected twice,
         // so the ceiling is two rejections per injected corruption or
         // truncation (both surface as typed wire errors).
-        let mangled: u64 = links.iter().map(|l| l.corrupted + l.truncated).sum();
+        let mangled: u64 = collectors
+            .iter()
+            .map(|c| c.link().faults().corrupted + c.link().faults().truncated)
+            .sum();
         prop_assert!(
             m.rejections_for("wire") <= 2 * mangled,
             "wire rejections {} exceed injected corruption+truncation {}",

@@ -6,11 +6,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use setstream_core::{estimate, EstimatorOptions, SketchFamily};
 use setstream_distributed::coordinator::CoordinatorError;
-use setstream_distributed::network::{collect_epoch, CollectionOptions, FaultSpec, LossyLink};
+use setstream_distributed::network::{FaultSpec, LossyLink, MemCollector};
 use setstream_distributed::wire;
-use setstream_distributed::{Coordinator, Site};
+use setstream_distributed::{Coordinator, Site, TransportMetrics, TransportOptions};
 use setstream_engine::StreamEngine;
 use setstream_stream::{StreamId, Update};
+use std::sync::Arc;
 
 fn family() -> SketchFamily {
     SketchFamily::builder()
@@ -215,17 +216,19 @@ fn continuous_collection_with_crash_matches_exact_engine() {
         engine.process(u);
     }
 
-    let coord = Coordinator::new(fam);
+    let coord = Arc::new(Coordinator::new(fam));
     let mut sites: Vec<Site> = (0..3).map(|i| Site::new(i as u32, fam)).collect();
-    let mut links: Vec<LossyLink> = (0..3)
-        .map(|i| LossyLink::new(FaultSpec::nasty(), 0xacce55 + i as u64).unwrap())
-        .collect();
-    let opts = CollectionOptions::builder()
-        .max_rounds(256)
-        .max_attempts(8)
-        .backoff_rounds(1)
+    let opts = TransportOptions::builder()
+        .max_attempts(256)
         .build()
         .unwrap();
+    let metrics = Arc::new(TransportMetrics::new());
+    let mut collectors: Vec<MemCollector> = (0..3)
+        .map(|i| {
+            let link = LossyLink::new(FaultSpec::nasty(), 0xacce55 + i as u64).unwrap();
+            MemCollector::new(Arc::clone(&coord), link, opts, Arc::clone(&metrics))
+        })
+        .collect();
 
     for round in 0..n_rounds {
         // Each site observes its slice of this round's traffic.
@@ -245,7 +248,7 @@ fn continuous_collection_with_crash_matches_exact_engine() {
             assert!(sites[1].recovering());
         }
         for i in 0..3 {
-            let report = collect_epoch(&mut sites[i], &mut links[i], &coord, &opts).unwrap();
+            let report = collectors[i].collect(&mut sites[i]).unwrap();
             assert_eq!(report.epoch, sites[i].epoch());
         }
         // The coordinator answers mid-collection — graceful degradation

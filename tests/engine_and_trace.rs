@@ -4,11 +4,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use setstream_core::{estimate, EstimatorOptions, SketchFamily};
-use setstream_distributed::network::{deliver_reliably, FaultSpec, LossyLink};
-use setstream_distributed::Coordinator;
+use setstream_distributed::network::{FaultSpec, LossyLink, MemCollector};
+use setstream_distributed::site::EpochCommit;
+use setstream_distributed::wire::{encode_frame, FrameKind};
+use setstream_distributed::{Coordinator, TransportMetrics, TransportOptions};
 use setstream_engine::StreamEngine;
 use setstream_stream::gen::{SessionConfig, SessionWorkload};
 use setstream_stream::{trace, StreamId, Update};
+use std::sync::Arc;
 
 fn family() -> SketchFamily {
     SketchFamily::builder()
@@ -88,10 +91,27 @@ fn engine_synopses_ship_to_coordinator_over_lossy_network() {
         })
         .collect();
 
-    let coordinator = Coordinator::new(fam);
-    let mut link = LossyLink::new(FaultSpec::nasty(), 42).unwrap();
-    let report = deliver_reliably(&frames, &mut link, &coordinator, 200).unwrap();
-    assert_eq!(report.delivered, frames.len());
+    // The batch closes with a Commit announcing its frame count; the
+    // coordinator acks the epoch once every frame has applied.
+    let mut frames = frames;
+    let commit = EpochCommit {
+        site: 7,
+        epoch: 0,
+        deltas: frames.len() as u32,
+    };
+    frames.push(encode_frame(FrameKind::Commit, &commit).unwrap());
+
+    let coordinator = Arc::new(Coordinator::new(fam));
+    let link = LossyLink::new(FaultSpec::nasty(), 42).unwrap();
+    let opts = TransportOptions::builder()
+        .max_attempts(200)
+        .build()
+        .unwrap();
+    let metrics = Arc::new(TransportMetrics::new());
+    let mut collector = MemCollector::new(Arc::clone(&coordinator), link, opts, metrics);
+    collector.ship(0, frames).unwrap();
+    collector.flush().unwrap();
+    assert_eq!(collector.in_flight(), 0);
 
     let opts = EstimatorOptions::default();
     for query in ["A & B", "A - B"] {
