@@ -127,7 +127,10 @@ impl Config {
             .iter()
             .map(|(p, f)| ((*p).to_string(), (*f).to_string()))
             .collect(),
-            wire_enums: vec!["FrameKind".to_string(), "ExtensionTag".to_string()],
+            wire_enums: ["FrameKind", "ExtensionTag", "Message"]
+                .iter()
+                .map(ToString::to_string)
+                .collect(),
             io_guard_modules: vec![
                 "crates/distributed/src/transport.rs".to_string(),
                 "crates/distributed/src/coordinator.rs".to_string(),

@@ -24,7 +24,7 @@
 use crate::metrics::TransportMetrics;
 use crate::site::{Epoch, Site};
 use crate::transport::{AckMessage, TransportError, TransportOptions};
-use crate::wire::{decode_frame, decode_payload, FrameKind, WireError};
+use crate::wire::{decode_message, Message, WireError};
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -211,16 +211,9 @@ impl<L: Link> Collector<L> {
                 Recv::Broken => return Event::Broken,
             };
             self.metrics.frames_in.inc();
-            match decode_frame(frame.clone()) {
-                Ok((FrameKind::Ack, _)) => {}
+            match decode_message(frame) {
+                Ok((Message::Ack(ack), _)) => return Event::Ack(ack),
                 Ok(_) => continue,
-                Err(_) => {
-                    self.metrics.desyncs.inc();
-                    return Event::Broken;
-                }
-            }
-            match decode_payload::<AckMessage>(frame) {
-                Ok((_, ack)) => return Event::Ack(ack),
                 Err(_) => {
                     self.metrics.desyncs.inc();
                     return Event::Broken;
@@ -404,7 +397,7 @@ mod tests {
     use super::*;
     use crate::site::EpochCommit;
     use crate::transport::Rejection;
-    use crate::wire::encode_frame;
+    use crate::wire::{decode_payload, encode_frame, FrameKind};
     use proptest::collection::vec;
     use proptest::prelude::*;
 

@@ -36,10 +36,9 @@
 //! merged synopsis equals a single-site synopsis of the combined traffic,
 //! regardless of delivery order.
 
-use crate::codec;
 use crate::metrics::CoordinatorMetrics;
-use crate::site::{DeltaMessage, Epoch, EpochCommit, Hello, SiteId, SynopsisMessage};
-use crate::wire::{FrameContext, FrameKind, WireError};
+use crate::site::{Epoch, SiteId};
+use crate::wire::{decode_message, FrameContext, Message, WireError};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use setstream_core::{
@@ -262,8 +261,6 @@ impl AnnotatedEstimate {
 struct State {
     /// Per-site bookkeeping (watermarks, contributions, quarantine).
     sites: BTreeMap<SiteId, SiteState>,
-    /// Frames ingested (diagnostics).
-    frames: u64,
     /// Streams whose merged synopsis changed since the last drain —
     /// the delta-frame feed for an engine's subscription dirty set.
     dirty: BTreeSet<StreamId>,
@@ -449,44 +446,45 @@ impl Coordinator {
     /// toward quarantine — prefer [`Self::ingest_frame_from`] when the
     /// link identifies its site.
     pub fn ingest_frame(&self, frame: &Bytes) -> Result<(), CoordinatorError> {
-        // Decode outside the lock; merge inside.
-        let (kind, payload, ctx) = match crate::wire::decode_frame_parts(frame.clone()) {
-            Ok(decoded) => decoded,
-            Err(e) => {
-                self.metrics.record_rejection("wire");
-                return Err(e.into());
-            }
-        };
-        let result = self.apply(kind, &payload, ctx);
-        match &result {
-            Ok(()) => self.metrics.record_frame(kind),
-            Err(e) => self.metrics.record_rejection(e.reason()),
-        }
-        result
+        self.ingest(None, decode_message(frame.clone()))
     }
 
     /// Ingest one frame that arrived on `site`'s link, with failure
     /// accounting: repeated CRC/decode failures quarantine the site, and
     /// frames from a quarantined site are refused outright.
     pub fn ingest_frame_from(&self, site: SiteId, frame: &Bytes) -> Result<(), CoordinatorError> {
-        if self.state.lock().sites.get(&site).is_some_and(|s| s.quarantined) {
-            self.metrics.record_rejection("quarantined");
-            return Err(CoordinatorError::Quarantined { site });
-        }
-        let decoded = crate::wire::decode_frame_parts(frame.clone());
-        let result = match decoded {
-            Ok((kind, payload, ctx)) => {
-                let applied = self.apply(kind, &payload, ctx);
-                if applied.is_ok() {
-                    self.metrics.record_frame(kind);
-                }
-                applied
+        self.ingest(Some(site), decode_message(frame.clone()))
+    }
+
+    /// Apply one decoded frame (see [`crate::wire::decode_message`]),
+    /// counting its verdict. With `from`, the frame arrived on that
+    /// site's link: a frame that failed to decode is a wire failure of
+    /// the site (enough in a row quarantine it), and a quarantined site's
+    /// frames are refused outright. Decode outside the lock; this merges
+    /// inside it.
+    pub(crate) fn ingest(
+        &self,
+        from: Option<SiteId>,
+        decoded: Result<(Message, Option<FrameContext>), WireError>,
+    ) -> Result<(), CoordinatorError> {
+        if let Some(site) = from {
+            if self.state.lock().sites.get(&site).is_some_and(|s| s.quarantined) {
+                self.metrics.record_rejection("quarantined");
+                return Err(CoordinatorError::Quarantined { site });
             }
-            Err(e) => Err(CoordinatorError::Wire(e)),
-        };
+        }
+        let result = decoded.map_err(CoordinatorError::Wire).and_then(|(message, ctx)| {
+            let kind = message.kind();
+            self.apply(message, ctx)?;
+            self.metrics.record_frame(kind);
+            Ok(())
+        });
         if let Err(e) = &result {
             self.metrics.record_rejection(e.reason());
         }
+        let Some(site) = from else {
+            return result;
+        };
         let mut st = self.state.lock();
         let entry = st.sites.entry(site).or_default();
         match &result {
@@ -514,20 +512,13 @@ impl Coordinator {
         span
     }
 
-    fn apply(
-        &self,
-        kind: FrameKind,
-        payload: &Bytes,
-        ctx: Option<FrameContext>,
-    ) -> Result<(), CoordinatorError> {
-        match kind {
-            FrameKind::Hello => {
-                let hello: Hello = codec::from_bytes(payload).map_err(WireError::from)?;
+    fn apply(&self, message: Message, ctx: Option<FrameContext>) -> Result<(), CoordinatorError> {
+        match message {
+            Message::Hello(hello) => {
                 if hello.family != self.family {
                     return Err(CoordinatorError::CoinMismatch { site: hello.site });
                 }
                 let mut st = self.state.lock();
-                st.frames += 1;
                 let entry = st.sites.entry(hello.site).or_default();
                 entry.announced = true;
                 entry.announced_epoch = hello.resume_epoch;
@@ -542,121 +533,16 @@ impl Coordinator {
                     entry.needs_resync = true;
                 }
             }
-            FrameKind::Synopsis => {
-                let msg: SynopsisMessage = codec::from_bytes(payload).map_err(WireError::from)?;
-                if msg.vector.family() != &self.family {
-                    return Err(CoordinatorError::CoinMismatch { site: msg.site });
-                }
-                let mut span = self.frame_span("collect.merge", ctx);
-                if span.is_recording() {
-                    span.detail(format!(
-                        "site={} stream={} epoch={} kind=synopsis",
-                        msg.site, msg.stream, msg.epoch
-                    ));
-                }
-                let mut st = self.state.lock();
-                st.frames += 1;
-                let entry = st.sites.entry(msg.site).or_default();
-                if entry.quarantined {
-                    return Err(CoordinatorError::Quarantined { site: msg.site });
-                }
-                let watermark = entry.watermarks.get(&msg.stream).copied().unwrap_or(0);
-                if msg.epoch < watermark {
-                    drop(st);
-                    self.lineage
-                        .record_retransmit(msg.stream.0, msg.epoch, msg.site);
-                    return Err(CoordinatorError::StaleEpoch {
-                        site: msg.site,
-                        stream: msg.stream,
-                        have: watermark,
-                        got: msg.epoch,
-                    });
-                }
-                // Cumulative snapshot: REPLACE the previous contribution.
-                // Re-merging it would double-count all prior traffic.
-                entry.contributions.insert(msg.stream, msg.vector);
-                entry.watermarks.insert(msg.stream, msg.epoch);
-                if entry.needs_resync {
-                    self.metrics.resyncs_healed.inc();
-                }
-                entry.needs_resync = false;
-                st.dirty.insert(msg.stream);
-                if let Some(c) = ctx {
-                    st.stream_ctx.insert(msg.stream, c);
-                }
-                drop(st);
-                let (trace_id, cut_ns) = ctx.map_or((0, 0), |c| (c.trace.trace_id, c.cut_ns));
-                self.lineage
-                    .record_frame(msg.stream.0, msg.epoch, msg.site, trace_id, cut_ns);
-                self.lineage.record_resync(msg.stream.0, msg.epoch);
+            Message::Synopsis(m) => self.merge(m.site, m.stream, m.epoch, None, m.vector, ctx)?,
+            Message::Delta(m) => {
+                self.merge(m.site, m.stream, m.epoch, Some(m.prev_epoch), m.vector, ctx)?;
             }
-            FrameKind::Delta => {
-                let msg: DeltaMessage = codec::from_bytes(payload).map_err(WireError::from)?;
-                if msg.vector.family() != &self.family {
-                    return Err(CoordinatorError::CoinMismatch { site: msg.site });
-                }
-                let mut span = self.frame_span("collect.merge", ctx);
-                if span.is_recording() {
-                    span.detail(format!(
-                        "site={} stream={} epoch={} kind=delta",
-                        msg.site, msg.stream, msg.epoch
-                    ));
-                }
-                let mut st = self.state.lock();
-                st.frames += 1;
-                let entry = st.sites.entry(msg.site).or_default();
-                if entry.quarantined {
-                    return Err(CoordinatorError::Quarantined { site: msg.site });
-                }
-                let watermark = entry.watermarks.get(&msg.stream).copied().unwrap_or(0);
-                if msg.epoch <= watermark {
-                    drop(st);
-                    self.lineage
-                        .record_retransmit(msg.stream.0, msg.epoch, msg.site);
-                    return Err(CoordinatorError::StaleEpoch {
-                        site: msg.site,
-                        stream: msg.stream,
-                        have: watermark,
-                        got: msg.epoch,
-                    });
-                }
-                if msg.prev_epoch != watermark {
-                    if !entry.needs_resync {
-                        self.metrics.resync_flags.inc();
-                    }
-                    entry.needs_resync = true;
-                    return Err(CoordinatorError::EpochGap {
-                        site: msg.site,
-                        stream: msg.stream,
-                        expected_prev: watermark,
-                        got_prev: msg.prev_epoch,
-                        epoch: msg.epoch,
-                    });
-                }
-                match entry.contributions.get_mut(&msg.stream) {
-                    Some(existing) => existing.merge_from(&msg.vector)?,
-                    None => {
-                        entry.contributions.insert(msg.stream, msg.vector);
-                    }
-                }
-                entry.watermarks.insert(msg.stream, msg.epoch);
-                st.dirty.insert(msg.stream);
-                if let Some(c) = ctx {
-                    st.stream_ctx.insert(msg.stream, c);
-                }
-                drop(st);
-                let (trace_id, cut_ns) = ctx.map_or((0, 0), |c| (c.trace.trace_id, c.cut_ns));
-                self.lineage
-                    .record_frame(msg.stream.0, msg.epoch, msg.site, trace_id, cut_ns);
-            }
-            FrameKind::Commit => {
-                let msg: EpochCommit = codec::from_bytes(payload).map_err(WireError::from)?;
+            Message::Commit(msg) => {
                 let mut span = self.frame_span("collect.commit", ctx);
                 if span.is_recording() {
                     span.detail(format!("site={} epoch={}", msg.site, msg.epoch));
                 }
                 let mut st = self.state.lock();
-                st.frames += 1;
                 let entry = st.sites.entry(msg.site).or_default();
                 if entry.quarantined {
                     return Err(CoordinatorError::Quarantined { site: msg.site });
@@ -667,16 +553,95 @@ impl Coordinator {
                 self.lineage
                     .record_commit(msg.epoch, msg.site, clock::now_ns(), cut_ns);
             }
-            FrameKind::Flush => {
-                self.state.lock().frames += 1;
-            }
-            FrameKind::Ack => {
+            Message::Ack(_) => {
                 // Acks are transport control traffic flowing *toward*
                 // sites; one arriving at the merge path means a confused
                 // or hostile peer. Refuse it as a wire-level violation so
                 // repeated offenders hit the quarantine counter.
                 return Err(CoordinatorError::Wire(WireError::BadKind(6)));
             }
+        }
+        Ok(())
+    }
+
+    /// Apply one stream's content frame from `site`: a delta
+    /// (`prev_epoch` given) merges additively if it chains onto the
+    /// watermark; a cumulative synopsis (`None`) replaces the site's
+    /// contribution and heals a pending resync.
+    fn merge(
+        &self,
+        site: SiteId,
+        stream: StreamId,
+        epoch: Epoch,
+        prev_epoch: Option<Epoch>,
+        vector: SketchVector,
+        ctx: Option<FrameContext>,
+    ) -> Result<(), CoordinatorError> {
+        if vector.family() != &self.family {
+            return Err(CoordinatorError::CoinMismatch { site });
+        }
+        let mut span = self.frame_span("collect.merge", ctx);
+        if span.is_recording() {
+            let kind = if prev_epoch.is_some() { "delta" } else { "synopsis" };
+            span.detail(format!("site={site} stream={stream} epoch={epoch} kind={kind}"));
+        }
+        let mut st = self.state.lock();
+        let entry = st.sites.entry(site).or_default();
+        if entry.quarantined {
+            return Err(CoordinatorError::Quarantined { site });
+        }
+        let watermark = entry.watermarks.get(&stream).copied().unwrap_or(0);
+        // A delta must be newer than the watermark; a snapshot may restate it.
+        if epoch < watermark || (prev_epoch.is_some() && epoch == watermark) {
+            drop(st);
+            self.lineage.record_retransmit(stream.0, epoch, site);
+            return Err(CoordinatorError::StaleEpoch {
+                site,
+                stream,
+                have: watermark,
+                got: epoch,
+            });
+        }
+        match prev_epoch {
+            Some(prev) if prev != watermark => {
+                if !entry.needs_resync {
+                    self.metrics.resync_flags.inc();
+                }
+                entry.needs_resync = true;
+                return Err(CoordinatorError::EpochGap {
+                    site,
+                    stream,
+                    expected_prev: watermark,
+                    got_prev: prev,
+                    epoch,
+                });
+            }
+            Some(_) => match entry.contributions.get_mut(&stream) {
+                Some(existing) => existing.merge_from(&vector)?,
+                None => {
+                    entry.contributions.insert(stream, vector);
+                }
+            },
+            None => {
+                // Cumulative snapshot: REPLACE the previous contribution.
+                // Re-merging it would double-count all prior traffic.
+                entry.contributions.insert(stream, vector);
+                if entry.needs_resync {
+                    self.metrics.resyncs_healed.inc();
+                }
+                entry.needs_resync = false;
+            }
+        }
+        entry.watermarks.insert(stream, epoch);
+        st.dirty.insert(stream);
+        if let Some(c) = ctx {
+            st.stream_ctx.insert(stream, c);
+        }
+        drop(st);
+        let (trace_id, cut_ns) = ctx.map_or((0, 0), |c| (c.trace.trace_id, c.cut_ns));
+        self.lineage.record_frame(stream.0, epoch, site, trace_id, cut_ns);
+        if prev_epoch.is_none() {
+            self.lineage.record_resync(stream.0, epoch);
         }
         Ok(())
     }
@@ -705,11 +670,6 @@ impl Coordinator {
             .filter(|(_, s)| s.announced)
             .map(|(&id, _)| id)
             .collect()
-    }
-
-    /// Total frames ingested.
-    pub fn frames_ingested(&self) -> u64 {
-        self.state.lock().frames
     }
 
     /// The merged global synopsis of one stream (sum of every site's
@@ -882,6 +842,7 @@ impl MetricSource for Coordinator {
 mod tests {
     use super::*;
     use crate::site::Site;
+    use crate::wire::FrameKind;
     use setstream_stream::Update;
 
     fn family() -> SketchFamily {
@@ -892,8 +853,16 @@ mod tests {
             .build()
     }
 
-    fn deliver(site: &Site, coord: &Coordinator) {
-        for frame in site.snapshot_frames().unwrap() {
+    fn deliver(site: &mut Site, coord: &Coordinator) {
+        for frame in site.cut_epoch().unwrap().frames {
+            coord.ingest_frame(&frame).unwrap();
+        }
+    }
+
+    /// Cut, drop the cut's deltas, and ship the cumulative resync.
+    fn deliver_cumulative(site: &mut Site, coord: &Coordinator) {
+        let _ = site.cut_epoch().unwrap();
+        for frame in site.resync_frames().unwrap() {
             coord.ingest_frame(&frame).unwrap();
         }
     }
@@ -915,8 +884,8 @@ mod tests {
             all.observe(&u);
         }
         let coord = Coordinator::new(fam);
-        deliver(&s1, &coord);
-        deliver(&s2, &coord);
+        deliver(&mut s1, &coord);
+        deliver(&mut s2, &coord);
         let merged = coord
             .query(&SetExpr::stream(0))
             .unwrap()
@@ -947,7 +916,7 @@ mod tests {
             site.observe(&Update::insert(StreamId(1), e, 1));
         }
         let coord = Coordinator::new(fam);
-        deliver(&site, &coord);
+        deliver(&mut site, &coord);
         let est = coord
             .query(&"A & B".parse().unwrap())
             .unwrap()
@@ -967,11 +936,11 @@ mod tests {
         for e in 0..1500u64 {
             site.observe(&Update::insert(StreamId(0), e, 1));
         }
-        deliver(&site, &coord); // first periodic snapshot
+        deliver_cumulative(&mut site, &coord); // first periodic snapshot
         for e in 1500..2000u64 {
             site.observe(&Update::insert(StreamId(0), e, 1));
         }
-        deliver(&site, &coord); // second periodic snapshot of the SAME site
+        deliver_cumulative(&mut site, &coord); // second periodic snapshot of the SAME site
 
         let est = coord.query(&SetExpr::stream(0)).unwrap().estimate.value;
         let direct = estimate::expression(
@@ -1019,7 +988,7 @@ mod tests {
         let other = SketchFamily::builder().copies(64).seed(999).build();
         let mut site = Site::new(5, other);
         site.observe(&Update::insert(StreamId(0), 1, 1));
-        let frames = site.snapshot_frames().unwrap();
+        let frames = site.cut_epoch().unwrap().frames;
         let err = coord.ingest_frame(&frames[0]).unwrap_err();
         assert!(matches!(err, CoordinatorError::CoinMismatch { site: 5 }));
     }
@@ -1038,7 +1007,7 @@ mod tests {
         let fam = family();
         let mut site = Site::new(1, fam);
         site.observe(&Update::insert(StreamId(0), 1, 1));
-        let frames = site.snapshot_frames().unwrap();
+        let frames = site.cut_epoch().unwrap().frames;
         let mut bad = frames[1].to_vec();
         let mid = bad.len() / 2;
         bad[mid] ^= 0xff;
@@ -1056,7 +1025,7 @@ mod tests {
             for e in 0..500u64 {
                 site.observe(&Update::insert(StreamId(0), (sid as u64) * 500 + e, 1));
             }
-            site_frames.push(site.snapshot_frames().unwrap());
+            site_frames.push(site.cut_epoch().unwrap().frames);
         }
         crossbeam::thread::scope(|scope| {
             for frames in &site_frames {
@@ -1198,7 +1167,7 @@ mod tests {
         let fam = family();
         let mut site = Site::new(4, fam);
         site.observe(&Update::insert(StreamId(0), 1, 1));
-        let frames = site.snapshot_frames().unwrap();
+        let frames = site.cut_epoch().unwrap().frames;
         let coord = Coordinator::new(fam).with_quarantine_after(3);
 
         let mut corrupt = frames[1].to_vec();

@@ -21,9 +21,11 @@
 //!
 //! * [`codec`] — a compact, non-self-describing binary serde format
 //!   (little-endian, length-prefixed), written from scratch;
-//! * [`wire`] — length-delimited, CRC-checked frames over [`bytes`];
+//! * [`wire`] — length-delimited, CRC-checked frames over [`bytes`], and
+//!   the one decode from a frame to its typed [`wire::Message`];
 //! * [`site`] — the per-site stream processor: epoch cuts, delta frames,
-//!   sealed crash-recovery checkpoints;
+//!   sealed crash-recovery checkpoints, and the sender ledger that builds
+//!   every batch a site or relay ships;
 //! * [`coordinator`] — watermark-guarded ingestion, merging, quarantine,
 //!   and (staleness-annotated) query answering;
 //! * [`collector`] — the one collection client: credit window, per-epoch

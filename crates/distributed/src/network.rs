@@ -515,6 +515,43 @@ mod tests {
         assert_eq!(metrics.retransmits.get(), 0);
     }
 
+    /// A CRC-valid frame whose payload does not decode is a wire failure
+    /// of the site its link is bound to, whichever path it takes.
+    #[test]
+    fn undecodable_payloads_are_charged_to_the_bound_site() {
+        use crate::site::EpochCommit;
+        use crate::wire::{encode_frame, FrameKind};
+
+        let site = Site::new(5, family());
+        let mut frames = vec![site.hello_frame().unwrap()];
+        frames.extend((0..20).map(|_| encode_frame(FrameKind::Delta, &0u8).unwrap()));
+        let commit = EpochCommit {
+            site: 5,
+            epoch: 1,
+            deltas: 20,
+        };
+        frames.push(encode_frame(FrameKind::Commit, &commit).unwrap());
+
+        let direct = Coordinator::new(family());
+        for f in &frames {
+            let _ = direct.ingest_frame_from(5, f);
+        }
+        let coord = Arc::new(Coordinator::new(family()));
+        let (mut collector, _) = mem_collector(&coord, FaultSpec::reliable(), 0, 1);
+        collector.ship(1, frames).unwrap();
+        assert!(
+            collector.flush().is_err(),
+            "a quarantined batch is undelivered"
+        );
+
+        for c in [&direct, &*coord] {
+            let status = c.site_status(5).unwrap();
+            assert!(status.quarantined, "{status:?}");
+            assert_eq!(status.wire_failures, 8);
+            assert_eq!(c.metrics().rejections_for("wire"), 8);
+        }
+    }
+
     #[test]
     fn link_stats_are_tracked() {
         let mut link = LossyLink::new(

@@ -10,10 +10,14 @@
 //!
 //! A [`Relay`] wraps a child-facing [`Coordinator`] (the same watermark
 //! machinery sites already speak) and presents itself *upstream* as one
-//! ordinary site: it cuts its own epochs with [`Relay::cut_upstream`]
-//! (delta = merged child state − last shipped baseline) and heals
-//! upstream divergence with [`Relay::resync_upstream`] (cumulative
-//! baselines, replace semantics). Two properties make this sound:
+//! ordinary site. It is a sender like [`crate::Site`]: the same sender
+//! ledger (epoch counter, baselines, `prev_epoch` chain) builds its
+//! batches, fed with the merged child state where a site feeds its live
+//! synopses. [`Relay::cut_upstream`] ships delta = merged child state −
+//! last shipped baseline, and [`Relay::resync_upstream`] heals upstream
+//! divergence with the cumulative baselines (replace semantics). Only the
+//! trace contexts differ: a relay stamps each stream's frame with that
+//! stream's last child context. Two properties make this sound:
 //!
 //! * **Mid-batch cuts are safe.** A cut taken while children are
 //!   mid-epoch just ships less; the remainder rides the next cut.
@@ -31,31 +35,24 @@
 use crate::collector::{Collector, Link, ResyncSource};
 use crate::coordinator::Coordinator;
 use crate::metrics::TransportMetrics;
-use crate::site::{DeltaMessage, Epoch, EpochCommit, Hello, SiteId, SynopsisMessage};
+use crate::site::{Epoch, SenderLedger, SiteId};
 use crate::transport::{
     CoordinatorServer, ServerHandle, ServerRole, TcpCollector, TransportError, TransportOptions,
 };
-use crate::wire::{encode_frame, encode_frame_traced, FrameContext, FrameKind, WireError};
+use crate::wire::WireError;
 use bytes::Bytes;
-use setstream_core::{SketchFamily, SketchVector};
-use setstream_stream::StreamId;
-use std::collections::BTreeMap;
+use setstream_core::SketchFamily;
+use std::borrow::Cow;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
 /// Merge-and-forward state: a child-facing [`Coordinator`] plus the
-/// baseline ledger that turns its merged synopses into upstream deltas.
+/// sender ledger that turns its merged synopses into upstream batches.
 pub struct Relay {
-    id: SiteId,
-    family: SketchFamily,
     downstream: Arc<Coordinator>,
-    /// Last upstream-shipped merged state per stream.
-    baselines: BTreeMap<StreamId, SketchVector>,
-    /// Epoch each stream last shipped in (the upstream `prev_epoch`
-    /// chain).
-    shipped: BTreeMap<StreamId, Epoch>,
-    /// The relay's own upstream epoch counter.
-    epoch: Epoch,
+    /// The relay's upstream sender state: epoch, baselines (last shipped
+    /// merged state per stream) and `prev_epoch` chain.
+    ledger: SenderLedger,
 }
 
 impl Relay {
@@ -70,12 +67,8 @@ impl Relay {
     /// relay's merge spans join each originating site cut's trace.
     pub fn with_coordinator(id: SiteId, downstream: Coordinator) -> Self {
         Relay {
-            id,
-            family: *downstream.family(),
+            ledger: SenderLedger::new(id, *downstream.family()),
             downstream: Arc::new(downstream),
-            baselines: BTreeMap::new(),
-            shipped: BTreeMap::new(),
-            epoch: 0,
         }
     }
 
@@ -87,12 +80,12 @@ impl Relay {
 
     /// The relay's upstream site identity.
     pub fn id(&self) -> SiteId {
-        self.id
+        self.ledger.id()
     }
 
     /// The relay's current upstream epoch.
     pub fn epoch(&self) -> Epoch {
-        self.epoch
+        self.ledger.epoch()
     }
 
     /// Cut the relay's next upstream epoch: one delta frame per stream
@@ -101,109 +94,28 @@ impl Relay {
     ///
     /// Trace propagation: each upstream delta re-ships the stream's last
     /// child frame context *verbatim* (same trace id, span id, and cut
-    /// timestamp), so the root coordinator's merge spans parent directly
-    /// onto the originating site cut and cut→commit latency stays
-    /// end-to-end rather than per-hop. Under fan-in the last contributor's
-    /// context wins — the lineage ring, not the trace, is the exhaustive
-    /// record of who contributed.
+    /// timestamp), and the `Commit` the last of them, so the root
+    /// coordinator's merge spans parent directly onto the originating
+    /// site cut and cut→commit latency stays end-to-end rather than
+    /// per-hop. Under fan-in the last contributor's context wins — the
+    /// lineage ring, not the trace, is the exhaustive record of who
+    /// contributed.
     pub fn cut_upstream(&mut self) -> Result<Vec<Bytes>, WireError> {
-        self.epoch += 1;
-        let mut frames = vec![encode_frame(
-            FrameKind::Hello,
-            &Hello {
-                site: self.id,
-                family: self.family,
-                resume_epoch: self.epoch,
-            },
-        )?];
-        let mut seq = 0u32;
-        let mut last_ctx: Option<FrameContext> = None;
-        for stream in self.downstream.streams() {
-            let Some(merged) = self.downstream.merged_synopsis(stream) else {
-                continue;
-            };
-            let (delta, prev) = match self.baselines.get(&stream) {
-                Some(base) => {
-                    let delta = merged
-                        .delta_since(base)
-                        // analyze: allow(panic) — the baseline was cloned from this same downstream family
-                        .expect("baseline minted from the relay family");
-                    if delta.is_null() {
-                        continue; // unchanged since last cut
-                    }
-                    (delta, self.shipped.get(&stream).copied().unwrap_or(0))
-                }
-                None => (merged.clone(), 0),
-            };
-            let ctx = self.downstream.stream_context(stream);
-            if ctx.is_some() {
-                last_ctx = ctx;
-            }
-            frames.push(encode_frame_traced(
-                FrameKind::Delta,
-                &DeltaMessage {
-                    site: self.id,
-                    stream,
-                    epoch: self.epoch,
-                    prev_epoch: prev,
-                    seq,
-                    vector: delta,
-                },
-                ctx.as_ref(),
-            )?);
-            self.shipped.insert(stream, self.epoch);
-            self.baselines.insert(stream, merged);
-            seq += 1;
-        }
-        frames.push(encode_frame_traced(
-            FrameKind::Commit,
-            &EpochCommit {
-                site: self.id,
-                epoch: self.epoch,
-                deltas: seq,
-            },
-            last_ctx.as_ref(),
-        )?);
-        Ok(frames)
+        let downstream = &self.downstream;
+        let merged = downstream.streams().into_iter().filter_map(|stream| {
+            let vector = downstream.merged_synopsis(stream)?;
+            Some((stream, Cow::Owned(vector)))
+        });
+        self.ledger.cut(merged, None, |stream| downstream.stream_context(stream))
     }
 
     /// Cumulative upstream resync: the shipped baselines as epoch-stamped
-    /// snapshots (replace semantics upstream). Heals any watermark
-    /// divergence, exactly like [`crate::site::Site::resync_frames`].
+    /// snapshots (replace semantics upstream), each with its stream's
+    /// last child context. Heals any watermark divergence, exactly like
+    /// [`crate::site::Site::resync_frames`].
     pub fn resync_upstream(&mut self) -> Result<Vec<Bytes>, WireError> {
-        let mut frames = vec![encode_frame(
-            FrameKind::Hello,
-            &Hello {
-                site: self.id,
-                family: self.family,
-                resume_epoch: self.epoch,
-            },
-        )?];
-        let mut count = 0u32;
-        for (&stream, vector) in &self.baselines {
-            let ctx = self.downstream.stream_context(stream);
-            frames.push(encode_frame_traced(
-                FrameKind::Synopsis,
-                &SynopsisMessage {
-                    site: self.id,
-                    stream,
-                    epoch: self.epoch,
-                    vector: vector.clone(),
-                },
-                ctx.as_ref(),
-            )?);
-            self.shipped.insert(stream, self.epoch);
-            count += 1;
-        }
-        frames.push(encode_frame(
-            FrameKind::Commit,
-            &EpochCommit {
-                site: self.id,
-                epoch: self.epoch,
-                deltas: count,
-            },
-        )?);
-        Ok(frames)
+        let downstream = &self.downstream;
+        self.ledger.resync(|stream| downstream.stream_context(stream))
     }
 
     /// Cut an upstream epoch from the current merged child state and
@@ -211,7 +123,7 @@ impl Relay {
     /// [`Relay::resync_upstream`] (bounded by the attempt budget).
     pub fn flush_to<L: Link>(&mut self, upstream: &mut Collector<L>) -> Result<(), TransportError> {
         let frames = self.cut_upstream()?;
-        upstream.deliver(self.epoch, frames, self)?;
+        upstream.deliver(self.epoch(), frames, self)?;
         Ok(())
     }
 }
@@ -219,7 +131,7 @@ impl Relay {
 impl ResyncSource for Relay {
     fn resync_batch(&mut self) -> Result<(Epoch, Vec<Bytes>), WireError> {
         let frames = self.resync_upstream()?;
-        Ok((self.epoch, frames))
+        Ok((self.epoch(), frames))
     }
 }
 
@@ -306,7 +218,7 @@ impl RelayNode {
 mod tests {
     use super::*;
     use crate::site::Site;
-    use setstream_stream::Update;
+    use setstream_stream::{StreamId, Update};
 
     fn family() -> SketchFamily {
         SketchFamily::builder()
@@ -562,5 +474,42 @@ mod tests {
         assert!(tracks.contains(&"site-3"), "{tracks:?}");
         assert!(tracks.contains(&"relay-1000"), "{tracks:?}");
         assert!(tracks.contains(&"root"), "{tracks:?}");
+    }
+
+    /// Where a relay puts its children's contexts: each stream's frame
+    /// carries that stream's last child context, a cut's `Commit` the
+    /// last of them, and `Hello` and the resync `Commit` none.
+    #[test]
+    fn relay_frames_carry_each_streams_child_context() {
+        use crate::wire::decode_frame_parts;
+        use setstream_obs::{RingRecorder, TraceHandle};
+
+        let fam = family();
+        let relay_ctx = |frames: &[Bytes]| -> Vec<_> {
+            frames
+                .iter()
+                .map(|f| decode_frame_parts(f.clone()).unwrap().2)
+                .collect()
+        };
+        let mut relay = Relay::new(1000, fam);
+        let mut child_ctx = Vec::new();
+        for id in [1, 2] {
+            let mut site = Site::new(id, fam);
+            site.set_trace(TraceHandle::new(Arc::new(RingRecorder::new(8))));
+            site.observe(&Update::insert(StreamId(id), 1, 1));
+            let cut = site.cut_epoch().unwrap();
+            child_ctx.push(relay_ctx(&cut.frames)[0]);
+            for frame in &cut.frames {
+                relay.coordinator().ingest_frame_from(id, frame).unwrap();
+            }
+        }
+        let (one, two) = (child_ctx[0], child_ctx[1]);
+        assert!(one.is_some() && two.is_some() && one != two);
+        // Hello, Delta s1, Delta s2, Commit.
+        let cut = relay_ctx(&relay.cut_upstream().unwrap());
+        assert_eq!(cut, vec![None, one, two, two]);
+        // Hello, Synopsis s1, Synopsis s2, Commit.
+        let resync = relay_ctx(&relay.resync_upstream().unwrap());
+        assert_eq!(resync, vec![None, one, two, None]);
     }
 }

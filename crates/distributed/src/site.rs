@@ -30,15 +30,14 @@
 //!    resync ([`Site::resync_frames`]), which *replaces* the site's
 //!    contribution at the coordinator.
 //!
-//! The legacy one-shot path ([`Site::snapshot_frames`]) still exists for
-//! simple deployments: it ships cumulative snapshots, which the
-//! coordinator now replaces rather than re-merges. Do not interleave it
-//! with epoch collection on the same site — cumulative frames stamped
-//! between cuts would fold not-yet-cut traffic into the contribution
-//! that the next delta then re-ships.
+//! Both batches, the cut and the resync, are built by a sender ledger
+//! (`SenderLedger`): the epoch counter, per-stream baselines and
+//! `prev_epoch` chain. A [`crate::Relay`] ships its merged children
+//! upstream through the same ledger, which is the only code that frames
+//! a batch.
 
 use crate::codec::{self, CodecError};
-use crate::wire::{encode_frame, encode_frame_traced, FrameContext, FrameKind, WireError};
+use crate::wire::{encode_frame_traced, FrameContext, FrameKind, WireError};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use setstream_core::{SketchFamily, SketchVector};
@@ -46,6 +45,7 @@ use setstream_engine::durable::{self, DurableError, DurableKind};
 use setstream_hash::clock;
 use setstream_obs::TraceHandle;
 use setstream_stream::{StreamId, Update};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -74,15 +74,14 @@ pub struct Hello {
 ///
 /// Replace semantics at the coordinator: a later snapshot from the same
 /// `(site, stream)` supersedes the previous contribution — it is never
-/// merged on top of it, so periodic re-snapshots cannot double-count.
+/// merged on top of it, so repeated resyncs cannot double-count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SynopsisMessage {
     /// Sender.
     pub site: SiteId,
     /// Which logical stream this synopsis summarizes.
     pub stream: StreamId,
-    /// The site epoch this snapshot is current as of (0 on the legacy
-    /// one-shot path).
+    /// The sender epoch this snapshot is current as of.
     pub epoch: Epoch,
     /// The synopsis itself.
     pub vector: SketchVector,
@@ -193,20 +192,159 @@ impl From<CodecError> for RestoreError {
     }
 }
 
-/// A stream-processing site.
+/// The sender half of every upstream shipper, a [`Site`] or a
+/// [`crate::Relay`]: its identity, epoch counter, per-stream baselines and
+/// `prev_epoch` chain, and the only builders of the batches a sender
+/// ships — the cut (`Hello`, one `Delta` per changed stream, `Commit`)
+/// and the cumulative resync (`Hello`, one `Synopsis` per stream,
+/// `Commit`).
 #[derive(Debug, Clone)]
-pub struct Site {
+pub(crate) struct SenderLedger {
     id: SiteId,
     family: SketchFamily,
-    streams: BTreeMap<StreamId, SketchVector>,
     /// Last cut epoch (0 = never cut).
     epoch: Epoch,
     /// Per-stream state as of the last cut — the subtrahend of the next
-    /// delta, and exactly what the checkpoint persists.
+    /// delta, and exactly what a site checkpoint persists.
     baselines: BTreeMap<StreamId, SketchVector>,
-    /// The epoch each stream last shipped a delta in (`prev_epoch` of its
-    /// next delta).
+    /// The epoch each stream last shipped in (`prev_epoch` of its next
+    /// delta).
     shipped: BTreeMap<StreamId, Epoch>,
+}
+
+impl SenderLedger {
+    pub(crate) fn new(id: SiteId, family: SketchFamily) -> Self {
+        SenderLedger {
+            id,
+            family,
+            epoch: 0,
+            baselines: BTreeMap::new(),
+            shipped: BTreeMap::new(),
+        }
+    }
+
+    pub(crate) fn id(&self) -> SiteId {
+        self.id
+    }
+
+    pub(crate) fn epoch(&self) -> Epoch {
+        self.epoch
+    }
+
+    fn hello(&self, resume_epoch: Epoch, ctx: Option<&FrameContext>) -> Result<Bytes, WireError> {
+        let hello = Hello {
+            site: self.id,
+            family: self.family,
+            resume_epoch,
+        };
+        encode_frame_traced(FrameKind::Hello, &hello, ctx)
+    }
+
+    fn commit(
+        &self,
+        epoch: Epoch,
+        deltas: u32,
+        ctx: Option<&FrameContext>,
+    ) -> Result<Bytes, WireError> {
+        let commit = EpochCommit {
+            site: self.id,
+            epoch,
+            deltas,
+        };
+        encode_frame_traced(FrameKind::Commit, &commit, ctx)
+    }
+
+    /// Cut the next epoch from the sender's `live` per-stream state: one
+    /// delta per stream that changed since its baseline, bracketed by
+    /// `Hello` and `Commit`. Only a cut whose every frame encodes rolls
+    /// the epoch, the baselines and the `prev_epoch` chain forward.
+    ///
+    /// Trace contexts: `Hello` carries `batch_ctx`, each delta carries
+    /// `stream_ctx(stream)`, and `Commit` the last delta context there was
+    /// (`batch_ctx` if none).
+    pub(crate) fn cut<'a>(
+        &mut self,
+        live: impl IntoIterator<Item = (StreamId, Cow<'a, SketchVector>)>,
+        batch_ctx: Option<FrameContext>,
+        stream_ctx: impl Fn(StreamId) -> Option<FrameContext>,
+    ) -> Result<Vec<Bytes>, WireError> {
+        let epoch = self.epoch + 1;
+        let mut frames = vec![self.hello(epoch, batch_ctx.as_ref())?];
+        let mut commit_ctx = batch_ctx;
+        let mut rolled = Vec::new();
+        let mut seq = 0u32;
+        for (stream, live) in live {
+            let (vector, prev_epoch) = match self.baselines.get(&stream) {
+                Some(base) => {
+                    let delta = live
+                        .delta_since(base)
+                        // analyze: allow(panic) — a baseline is a past state of this same vector
+                        .expect("baseline minted from the sender family");
+                    if delta.is_null() {
+                        continue; // unchanged since last cut — nothing to ship
+                    }
+                    (delta, self.shipped.get(&stream).copied().unwrap_or(0))
+                }
+                None => (live.as_ref().clone(), 0),
+            };
+            let ctx = stream_ctx(stream);
+            commit_ctx = ctx.or(commit_ctx);
+            let delta = DeltaMessage {
+                site: self.id,
+                stream,
+                epoch,
+                prev_epoch,
+                seq,
+                vector,
+            };
+            frames.push(encode_frame_traced(FrameKind::Delta, &delta, ctx.as_ref())?);
+            rolled.push((stream, live));
+            seq += 1;
+        }
+        frames.push(self.commit(epoch, seq, commit_ctx.as_ref())?);
+        self.epoch = epoch;
+        for (stream, live) in rolled {
+            self.shipped.insert(stream, epoch);
+            self.baselines.insert(stream, live.into_owned());
+        }
+        Ok(frames)
+    }
+
+    /// The cumulative resync batch: `Hello`, one epoch-stamped `Synopsis`
+    /// per baseline (stamped with `stream_ctx(stream)`), and `Commit`.
+    /// The coordinator replaces the sender's whole contribution with it,
+    /// so each stream's next delta chains from the current epoch.
+    pub(crate) fn resync(
+        &mut self,
+        stream_ctx: impl Fn(StreamId) -> Option<FrameContext>,
+    ) -> Result<Vec<Bytes>, WireError> {
+        let mut frames = vec![self.hello(self.epoch, None)?];
+        let mut count = 0u32;
+        for (&stream, vector) in &self.baselines {
+            let synopsis = SynopsisMessage {
+                site: self.id,
+                stream,
+                epoch: self.epoch,
+                vector: vector.clone(),
+            };
+            let ctx = stream_ctx(stream);
+            frames.push(encode_frame_traced(FrameKind::Synopsis, &synopsis, ctx.as_ref())?);
+            count += 1;
+        }
+        frames.push(self.commit(self.epoch, count, None)?);
+        for &stream in self.baselines.keys() {
+            self.shipped.insert(stream, self.epoch);
+        }
+        Ok(frames)
+    }
+}
+
+/// A stream-processing site.
+#[derive(Debug, Clone)]
+pub struct Site {
+    /// Live per-stream synopses, including traffic not yet cut.
+    streams: BTreeMap<StreamId, SketchVector>,
+    ledger: SenderLedger,
     /// Restored from a checkpoint and not yet resynced. A recovered site
     /// cannot know whether the frames of its last cut were delivered
     /// before the crash, so it must resync before its deltas mean
@@ -222,12 +360,8 @@ impl Site {
     /// A site using the shared `family` coins.
     pub fn new(id: SiteId, family: SketchFamily) -> Self {
         Site {
-            id,
-            family,
             streams: BTreeMap::new(),
-            epoch: 0,
-            baselines: BTreeMap::new(),
-            shipped: BTreeMap::new(),
+            ledger: SenderLedger::new(id, family),
             recovering: false,
             trace: TraceHandle::noop(),
         }
@@ -235,7 +369,7 @@ impl Site {
 
     /// This site's id.
     pub fn id(&self) -> SiteId {
-        self.id
+        self.ledger.id()
     }
 
     /// Record epoch-cut and collection spans into `trace` (e.g. a
@@ -252,12 +386,12 @@ impl Site {
 
     /// The family (stored coins) in use.
     pub fn family(&self) -> &SketchFamily {
-        &self.family
+        &self.ledger.family
     }
 
     /// The last cut epoch (0 = never cut).
     pub fn epoch(&self) -> Epoch {
-        self.epoch
+        self.ledger.epoch()
     }
 
     /// `true` between a checkpoint restore and the next
@@ -274,7 +408,7 @@ impl Site {
     pub fn observe(&mut self, update: &Update) {
         self.streams
             .entry(update.stream)
-            .or_insert_with(|| self.family.new_vector())
+            .or_insert_with(|| self.ledger.family.new_vector())
             .process(update);
     }
 
@@ -289,7 +423,7 @@ impl Site {
         for (stream, group) in groups {
             self.streams
                 .entry(stream)
-                .or_insert_with(|| self.family.new_vector())
+                .or_insert_with(|| self.ledger.family.new_vector())
                 .update_batch(&group);
         }
     }
@@ -311,7 +445,7 @@ impl Site {
             return;
         }
         let shard_len = updates.len().div_ceil(threads);
-        let family = self.family;
+        let family = self.ledger.family;
         let partials = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = updates
                 .chunks(shard_len)
@@ -360,14 +494,7 @@ impl Site {
 
     /// The hello frame for this site, announcing its resume epoch.
     pub fn hello_frame(&self) -> Result<Bytes, WireError> {
-        encode_frame(
-            FrameKind::Hello,
-            &Hello {
-                site: self.id,
-                family: self.family,
-                resume_epoch: self.epoch,
-            },
-        )
+        self.ledger.hello(self.epoch(), None)
     }
 
     /// Close the current epoch: advance the epoch counter, emit one
@@ -391,76 +518,25 @@ impl Site {
         let trace = self.trace.clone();
         let mut span = trace.span("site.cut_epoch");
         if span.is_recording() {
-            span.track(format!("site-{}", self.id));
+            span.track(format!("site-{}", self.id()));
         }
         let ctx = span.is_recording().then(|| FrameContext {
             trace: span.context(),
             cut_ns: clock::now_ns(),
         });
-        let ctx = ctx.as_ref();
-        self.epoch += 1;
-        let mut frames = vec![encode_frame_traced(
-            FrameKind::Hello,
-            &Hello {
-                site: self.id,
-                family: self.family,
-                resume_epoch: self.epoch,
-            },
-            ctx,
-        )?];
-        let mut seq = 0u32;
-        for (&stream, live) in &self.streams {
-            let (delta, prev) = match self.baselines.get(&stream) {
-                Some(base) => {
-                    let delta = live
-                        .delta_since(base)
-                        // analyze: allow(panic) — the baseline was cloned from this very synopsis
-                        .expect("baseline minted from the site family");
-                    if delta.is_null() {
-                        continue; // unchanged since last cut — nothing to ship
-                    }
-                    (delta, self.shipped.get(&stream).copied().unwrap_or(0))
-                }
-                None => (live.clone(), 0),
-            };
-            frames.push(encode_frame_traced(
-                FrameKind::Delta,
-                &DeltaMessage {
-                    site: self.id,
-                    stream,
-                    epoch: self.epoch,
-                    prev_epoch: prev,
-                    seq,
-                    vector: delta,
-                },
-                ctx,
-            )?);
-            self.shipped.insert(stream, self.epoch);
-            seq += 1;
-        }
-        frames.push(encode_frame_traced(
-            FrameKind::Commit,
-            &EpochCommit {
-                site: self.id,
-                epoch: self.epoch,
-                deltas: seq,
-            },
-            ctx,
-        )?);
-        for (&stream, live) in &self.streams {
-            self.baselines.insert(stream, live.clone());
-        }
+        let live = self.streams.iter().map(|(&s, v)| (s, Cow::Borrowed(v)));
+        let frames = self.ledger.cut(live, ctx, |_| ctx)?;
         let checkpoint = self.checkpoint_bytes()?;
         if span.is_recording() {
             span.detail(format!(
                 "epoch={} frames={} checkpoint_bytes={}",
-                self.epoch,
+                self.epoch(),
                 frames.len(),
                 checkpoint.len()
             ));
         }
         Ok(EpochCut {
-            epoch: self.epoch,
+            epoch: self.epoch(),
             frames,
             checkpoint,
         })
@@ -476,31 +552,7 @@ impl Site {
     /// the last cut belongs to the *next* epoch's delta and must not leak
     /// into the resync, or it would be counted twice.
     pub fn resync_frames(&mut self) -> Result<Vec<Bytes>, WireError> {
-        let mut frames = vec![self.hello_frame()?];
-        let mut count = 0u32;
-        for (&stream, vector) in &self.baselines {
-            frames.push(encode_frame(
-                FrameKind::Synopsis,
-                &SynopsisMessage {
-                    site: self.id,
-                    stream,
-                    epoch: self.epoch,
-                    vector: vector.clone(),
-                },
-            )?);
-            // The snapshot carries everything up to the current epoch, so
-            // the next delta for this stream chains from here.
-            self.shipped.insert(stream, self.epoch);
-            count += 1;
-        }
-        frames.push(encode_frame(
-            FrameKind::Commit,
-            &EpochCommit {
-                site: self.id,
-                epoch: self.epoch,
-                deltas: count,
-            },
-        )?);
+        let frames = self.ledger.resync(|_| None)?;
         self.recovering = false;
         Ok(frames)
     }
@@ -509,16 +561,13 @@ impl Site {
     /// baselines, not the live synopses: a restore lands exactly on the
     /// last cut, never in the middle of an epoch.
     pub fn checkpoint(&self) -> SiteCheckpoint {
+        let ledger = &self.ledger;
         SiteCheckpoint {
-            site: self.id,
-            family: self.family,
-            epoch: self.epoch,
-            streams: self
-                .baselines
-                .iter()
-                .map(|(&s, v)| (s, v.clone()))
-                .collect(),
-            shipped: self.shipped.iter().map(|(&s, &e)| (s, e)).collect(),
+            site: ledger.id,
+            family: ledger.family,
+            epoch: ledger.epoch,
+            streams: ledger.baselines.iter().map(|(&s, v)| (s, v.clone())).collect(),
+            shipped: ledger.shipped.iter().map(|(&s, &e)| (s, e)).collect(),
         }
     }
 
@@ -536,20 +585,22 @@ impl Site {
     /// and no double-counting, surfaced to the coordinator through
     /// `Hello { resume_epoch }` and the watermark chain.
     pub fn restore(checkpoint: SiteCheckpoint) -> Result<Self, RestoreError> {
-        let mut streams = BTreeMap::new();
+        let mut baselines = BTreeMap::new();
         for (stream, vector) in checkpoint.streams {
             if vector.family() != &checkpoint.family {
                 return Err(RestoreError::FamilyMismatch { stream });
             }
-            streams.insert(stream, vector);
+            baselines.insert(stream, vector);
         }
         Ok(Site {
-            id: checkpoint.site,
-            family: checkpoint.family,
-            baselines: streams.clone(),
-            streams,
-            epoch: checkpoint.epoch,
-            shipped: checkpoint.shipped.into_iter().collect(),
+            streams: baselines.clone(),
+            ledger: SenderLedger {
+                id: checkpoint.site,
+                family: checkpoint.family,
+                epoch: checkpoint.epoch,
+                baselines,
+                shipped: checkpoint.shipped.into_iter().collect(),
+            },
             recovering: true,
             trace: TraceHandle::noop(),
         })
@@ -561,30 +612,6 @@ impl Site {
         let payload = durable::unseal(bytes, DurableKind::SiteCheckpoint)?;
         let checkpoint: SiteCheckpoint = codec::from_bytes(payload)?;
         Self::restore(checkpoint)
-    }
-
-    /// Serialize every stream's **cumulative** synopsis as a frame batch,
-    /// terminated by a `Flush` frame — the legacy one-shot collection
-    /// path. Snapshotting does not disturb the live synopses or the epoch
-    /// state. Safe to call repeatedly: the coordinator replaces (never
-    /// re-merges) cumulative contributions. Do not interleave with
-    /// [`Self::cut_epoch`] on the same site.
-    pub fn snapshot_frames(&self) -> Result<Vec<Bytes>, WireError> {
-        let mut frames = Vec::with_capacity(self.streams.len() + 2);
-        frames.push(self.hello_frame()?);
-        for (&stream, vector) in &self.streams {
-            frames.push(encode_frame(
-                FrameKind::Synopsis,
-                &SynopsisMessage {
-                    site: self.id,
-                    stream,
-                    epoch: self.epoch,
-                    vector: vector.clone(),
-                },
-            )?);
-        }
-        frames.push(encode_frame(FrameKind::Flush, &self.id)?);
-        Ok(frames)
     }
 }
 
@@ -642,42 +669,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn snapshot_contains_hello_synopses_flush() {
-        let mut site = Site::new(3, family());
-        site.observe(&Update::insert(StreamId(0), 1, 1));
-        site.observe(&Update::insert(StreamId(5), 2, 1));
-        let frames = site.snapshot_frames().unwrap();
-        assert_eq!(frames.len(), 4); // hello + 2 synopses + flush
-
-        let (kind, hello): (_, Hello) = decode_payload(frames[0].clone()).unwrap();
-        assert_eq!(kind, FrameKind::Hello);
-        assert_eq!(hello.site, 3);
-        assert_eq!(&hello.family, site.family());
-        assert_eq!(hello.resume_epoch, 0);
-
-        let (kind, syn): (_, SynopsisMessage) = decode_payload(frames[1].clone()).unwrap();
-        assert_eq!(kind, FrameKind::Synopsis);
-        assert_eq!(syn.stream, StreamId(0));
-        assert_eq!(syn.epoch, 0);
-
-        let (kind, site_id): (_, SiteId) = decode_payload(frames[3].clone()).unwrap();
-        assert_eq!(kind, FrameKind::Flush);
-        assert_eq!(site_id, 3);
-    }
-
-    #[test]
-    fn snapshot_is_nondestructive() {
-        let mut site = Site::new(1, family());
-        site.observe(&Update::insert(StreamId(0), 9, 2));
-        let _ = site.snapshot_frames().unwrap();
-        site.observe(&Update::insert(StreamId(0), 10, 1));
-        assert_eq!(
-            site.synopsis(StreamId(0)).unwrap().sketches()[0].total_count(),
-            3
-        );
     }
 
     /// Decode the delta frames of a cut into (stream, message) pairs.
@@ -765,7 +756,7 @@ mod tests {
         let restored = Site::restore_from_bytes(&cut.checkpoint).unwrap();
         assert_eq!(restored.id(), 9);
         assert_eq!(restored.epoch(), 1);
-        let original_at_cut = &site.baselines[&StreamId(0)];
+        let original_at_cut = &site.ledger.baselines[&StreamId(0)];
         let restored_live = restored.synopsis(StreamId(0)).unwrap();
         for (a, b) in original_at_cut.sketches().iter().zip(restored_live.sketches()) {
             assert_eq!(a.counters(), b.counters());

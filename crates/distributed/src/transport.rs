@@ -12,7 +12,7 @@
 //!   buffering — a hostile or desynchronized peer can never make it
 //!   allocate more than one max-size frame.
 //! * **Acks.** [`CoordinatorHandler`] answers every `Commit` with an
-//!   [`AckMessage`] ([`FrameKind::Ack`]) built from a per-epoch delivery
+//!   [`AckMessage`] ([`Message::Ack`]) built from a per-epoch delivery
 //!   ledger: `complete` only when every announced content frame applied
 //!   (refused-as-stale duplicates count as applied), plus the
 //!   coordinator's resync and quarantine flags and any unrecoverable
@@ -40,10 +40,8 @@ use crate::collector::{Collector, Link, Recv};
 use crate::coordinator::{Coordinator, CoordinatorError};
 use crate::metrics::TransportMetrics;
 use crate::network::{FaultSpec, FaultSpecError, LossyLink};
-use crate::site::{DeltaMessage, Epoch, EpochCommit, Hello, SiteId, SynopsisMessage};
-use crate::wire::{
-    self, decode_frame, decode_payload, encode_frame, FrameKind, WireError, FRAME_OVERHEAD,
-};
+use crate::site::{Epoch, SiteId};
+use crate::wire::{self, FrameKind, Message, WireError, FRAME_OVERHEAD};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use setstream_obs::{Counter, Gauge};
@@ -913,48 +911,34 @@ impl CoordinatorHandler {
 
 impl FrameHandler for CoordinatorHandler {
     fn on_frame(&mut self, conn: u64, frame: Bytes) -> Vec<Bytes> {
-        // Route first: the handler needs kind + site before the verdict.
-        let Ok((kind, _)) = decode_frame(frame.clone()) else {
-            // CRC-corrupt frame from a known site: attribute it so the
-            // coordinator's wire-failure counter (and quarantine) see it.
-            if let Some(&site) = self.sites.get(&conn) {
-                let _ = self.coordinator.ingest_frame_from(site, &frame);
+        let (message, ctx) = match wire::decode_message(frame) {
+            Ok(decoded) => decoded,
+            Err(e) => {
+                // A corrupt or undecodable frame from a known site: charge
+                // it so the coordinator's wire-failure counter (and
+                // quarantine) see it.
+                if let Some(&site) = self.sites.get(&conn) {
+                    let _ = self.coordinator.ingest(Some(site), Err(e));
+                }
+                return Vec::new();
             }
-            return Vec::new();
         };
         // (site, epoch, content-frame key, announced frame count)
-        let (site, epoch, key, expected) = match kind {
-            FrameKind::Hello => match decode_payload::<Hello>(frame.clone()) {
-                Ok((_, h)) => (h.site, h.resume_epoch, None, None),
-                Err(_) => return Vec::new(),
-            },
-            FrameKind::Delta => match decode_payload::<DeltaMessage>(frame.clone()) {
-                Ok((_, d)) => (d.site, d.epoch, Some((d.stream.0, d.seq)), None),
-                Err(_) => return Vec::new(),
-            },
-            FrameKind::Synopsis => match decode_payload::<SynopsisMessage>(frame.clone()) {
-                Ok((_, s)) => (s.site, s.epoch, Some((s.stream.0, u32::MAX)), None),
-                Err(_) => return Vec::new(),
-            },
-            FrameKind::Commit => match decode_payload::<EpochCommit>(frame.clone()) {
-                Ok((_, c)) => (c.site, c.epoch, None, Some(c.deltas)),
-                Err(_) => return Vec::new(),
-            },
-            // Legacy flush markers and stray acks carry no mergeable
-            // payload; acks flowing upstream are a peer bug we ignore.
-            FrameKind::Flush | FrameKind::Ack => return Vec::new(),
+        let (site, epoch, key, expected) = match &message {
+            Message::Hello(h) => (h.site, h.resume_epoch, None, None),
+            Message::Delta(d) => (d.site, d.epoch, Some((d.stream.0, d.seq)), None),
+            Message::Synopsis(s) => (s.site, s.epoch, Some((s.stream.0, u32::MAX)), None),
+            Message::Commit(c) => (c.site, c.epoch, None, Some(c.deltas)),
+            // Acks flow toward sites; one arriving here is a peer bug we
+            // ignore.
+            Message::Ack(_) => return Vec::new(),
         };
         self.sites.insert(conn, site);
 
         // A quarantined site's retried Hello is its backoff signal: the
         // second one lifts the quarantine (bounded release).
-        if kind == FrameKind::Hello {
-            let quarantined = self
-                .coordinator
-                .site_status(site)
-                .map(|s| s.quarantined)
-                .unwrap_or(false);
-            if quarantined {
+        if let Message::Hello(_) = message {
+            if self.coordinator.site_status(site).is_some_and(|s| s.quarantined) {
                 let hellos = self.quarantine_hellos.entry(site).or_insert(0);
                 *hellos += 1;
                 if *hellos >= 2 {
@@ -966,7 +950,7 @@ impl FrameHandler for CoordinatorHandler {
             }
         }
 
-        let verdict = self.coordinator.ingest_frame_from(site, &frame);
+        let verdict = self.coordinator.ingest(Some(site), Ok((message, ctx)));
         let applied = match &verdict {
             Ok(()) => true,
             // A stale epoch is a retransmitted frame the coordinator
@@ -980,50 +964,44 @@ impl FrameHandler for CoordinatorHandler {
             }
         };
 
-        match kind {
-            FrameKind::Delta | FrameKind::Synopsis => {
-                if let (true, Some(key)) = (applied, key) {
-                    self.ledger_entry(site, epoch).applied.insert(key);
-                    if verdict.is_ok() && self.role == ServerRole::Relay {
-                        self.metrics.relay_merges.inc();
-                    }
-                }
-                Vec::new()
-            }
-            FrameKind::Commit => {
-                // Commit closes the batch: answer with an honest ack even
-                // when the verdict was a refusal (quarantine, gap) — the
-                // peer needs the flags to react.
-                let Some(expected) = expected else {
-                    return Vec::new();
-                };
-                let rejected = {
-                    let entry = self.ledger_entry(site, epoch);
-                    if applied {
-                        entry.expected = Some(expected);
-                    }
-                    entry.rejected
-                };
-                let status = self.coordinator.site_status(site);
-                let ack = AckMessage {
-                    site,
-                    epoch,
-                    complete: self.ledger_complete(site, epoch),
-                    needs_resync: status.as_ref().map(|s| s.needs_resync).unwrap_or(false),
-                    quarantined: status.as_ref().map(|s| s.quarantined).unwrap_or(false),
-                    rejected,
-                };
-                match encode_frame(FrameKind::Ack, &ack) {
-                    Ok(frame) => {
-                        self.metrics.acks_sent.inc();
-                        vec![frame]
-                    }
-                    Err(_) => Vec::new(),
+        if let Some(key) = key {
+            // A content frame: Delta or Synopsis.
+            if applied {
+                self.ledger_entry(site, epoch).applied.insert(key);
+                if verdict.is_ok() && self.role == ServerRole::Relay {
+                    self.metrics.relay_merges.inc();
                 }
             }
-            // Already handled by the early return above; spelled out (no
-            // wildcard) so adding a frame kind forces a decision here.
-            FrameKind::Hello | FrameKind::Flush | FrameKind::Ack => Vec::new(),
+            return Vec::new();
+        }
+        // Commit closes the batch: answer with an honest ack even when
+        // the verdict was a refusal (quarantine, gap) — the peer needs
+        // the flags to react. A Hello gets no answer.
+        let Some(expected) = expected else {
+            return Vec::new();
+        };
+        let rejected = {
+            let entry = self.ledger_entry(site, epoch);
+            if applied {
+                entry.expected = Some(expected);
+            }
+            entry.rejected
+        };
+        let status = self.coordinator.site_status(site);
+        let ack = AckMessage {
+            site,
+            epoch,
+            complete: self.ledger_complete(site, epoch),
+            needs_resync: status.as_ref().map(|s| s.needs_resync).unwrap_or(false),
+            quarantined: status.as_ref().map(|s| s.quarantined).unwrap_or(false),
+            rejected,
+        };
+        match wire::encode_frame(FrameKind::Ack, &ack) {
+            Ok(frame) => {
+                self.metrics.acks_sent.inc();
+                vec![frame]
+            }
+            Err(_) => Vec::new(),
         }
     }
 
@@ -1301,7 +1279,8 @@ fn pump_connection(
 mod tests {
     use super::*;
     use crate::network::{fault_seed, SeedEcho};
-    use crate::site::Site;
+    use crate::site::{EpochCommit, Hello, Site, SynopsisMessage};
+    use crate::wire::{decode_frame, encode_frame};
     use setstream_core::SketchFamily;
     use setstream_stream::{StreamId, Update};
 
@@ -1400,11 +1379,10 @@ mod tests {
         assert!(matches!(reader.next_frame(), Err(WireError::BadMagic(_))));
     }
 
-    /// Regression pin for the reply-dispatch match in `on_frame`: the
-    /// kinds with no reply path (Hello binds the connection, Flush is a
-    /// legacy marker, an upstream Ack is a peer bug) must stay silent,
-    /// while Commit must answer with exactly one Ack. Guards the
-    /// explicit no-wildcard arm that replaced `_ => Vec::new()`.
+    /// Regression pin for the reply dispatch in `on_frame`: the kinds
+    /// with no reply path (Hello binds the connection, an upstream Ack is
+    /// a peer bug) must stay silent, while Commit must answer with
+    /// exactly one Ack.
     #[test]
     fn on_frame_replies_only_to_commit() {
         let fam = family();
@@ -1428,11 +1406,16 @@ mod tests {
         .unwrap();
         assert!(handler.on_frame(1, hello).is_empty());
 
-        // Flush and a stray upstream Ack carry no mergeable payload and
-        // return before decoding it; any payload byte exercises the arm.
-        let flush = encode_frame(FrameKind::Flush, &0u8).unwrap();
-        assert!(handler.on_frame(1, flush).is_empty());
-        let stray_ack = encode_frame(FrameKind::Ack, &0u8).unwrap();
+        // A stray upstream Ack carries no mergeable payload.
+        let stray_ack = AckMessage {
+            site: 7,
+            epoch: 1,
+            complete: true,
+            needs_resync: false,
+            quarantined: false,
+            rejected: None,
+        };
+        let stray_ack = encode_frame(FrameKind::Ack, &stray_ack).unwrap();
         assert!(handler.on_frame(1, stray_ack).is_empty());
 
         let commit = encode_frame(

@@ -34,6 +34,8 @@
 //! lets the coordinator histogram true cut→commit latency.
 
 use crate::codec::{self, CodecError};
+use crate::site::{DeltaMessage, EpochCommit, Hello, SynopsisMessage};
+use crate::transport::AckMessage;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -50,10 +52,12 @@ pub const FRAME_OVERHEAD: usize = 13;
 ///
 /// Enforced *before* any buffer is sized from the header, so a hostile or
 /// bit-flipped length field can never make a receiver allocate unbounded
-/// memory — it is a typed [`WireError::Oversize`] instead. Generous for
-/// real synopses (a 16 MiB payload is orders of magnitude beyond any
-/// family this workspace mints) yet small enough that even a frame-per-
-/// connection abuser stays bounded.
+/// memory — it is a typed [`WireError::Oversize`] instead. The cap bounds
+/// what one frame can carry: a delta or synopsis frame holds the dense
+/// counter array of one vector, about `r × s × 1 KiB`, so families up to
+/// r=256 at s=32 (8.4 MB) fit, but r=512, s=32 (16,797,764 B) does not,
+/// and `Site::cut_epoch` then fails with `Oversize`. The fix is a sparse
+/// cell encoding (ROADMAP item 2), not a larger cap.
 pub const MAX_PAYLOAD_LEN: usize = 16 << 20;
 
 /// High bit of the kind byte: set when the payload region starts with an
@@ -98,7 +102,9 @@ const TRACE_EXT_LEN: usize = 24;
 /// Extension block header: tag byte + u16 length.
 const EXT_HEADER_LEN: usize = 3;
 
-/// What a frame carries.
+/// What a frame carries. The kind byte numbers are fixed on the wire:
+/// Hello 1, Synopsis 2, Delta 4, Commit 5, Ack 6. Byte 3 is unassigned
+/// and decodes as [`WireError::BadKind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
     /// A site announcing itself, its sketch family, and (on restart) the
@@ -106,10 +112,8 @@ pub enum FrameKind {
     Hello,
     /// A per-stream **cumulative** synopsis snapshot. Replaces the
     /// sender's previous contribution for that stream at the coordinator
-    /// (never re-merged), so periodic re-snapshots and resyncs are safe.
+    /// (never re-merged), so resyncs are safe to repeat.
     Synopsis,
-    /// End of a snapshot batch.
-    Flush,
     /// A per-stream **delta**: counter changes since the stream's last
     /// shipped epoch. Merged additively, guarded by epoch watermarks.
     Delta,
@@ -126,7 +130,6 @@ impl FrameKind {
         match self {
             FrameKind::Hello => 1,
             FrameKind::Synopsis => 2,
-            FrameKind::Flush => 3,
             FrameKind::Delta => 4,
             FrameKind::Commit => 5,
             FrameKind::Ack => 6,
@@ -137,7 +140,6 @@ impl FrameKind {
         match b {
             1 => Ok(FrameKind::Hello),
             2 => Ok(FrameKind::Synopsis),
-            3 => Ok(FrameKind::Flush),
             4 => Ok(FrameKind::Delta),
             5 => Ok(FrameKind::Commit),
             6 => Ok(FrameKind::Ack),
@@ -364,6 +366,50 @@ pub fn frame_size_hint(buf: &[u8]) -> Result<Option<usize>, WireError> {
     Ok(Some(len + FRAME_OVERHEAD))
 }
 
+/// A frame's typed message: one variant per [`FrameKind`].
+#[derive(Debug, Clone)]
+pub enum Message {
+    /// A sender announcing itself and the epoch it resumes from.
+    Hello(Hello),
+    /// One stream's cumulative synopsis (replace semantics).
+    Synopsis(SynopsisMessage),
+    /// One stream's delta for one epoch (merged additively).
+    Delta(DeltaMessage),
+    /// The end of an epoch batch.
+    Commit(EpochCommit),
+    /// The receiver's verdict on one epoch batch.
+    Ack(AckMessage),
+}
+
+impl Message {
+    /// The frame kind this message travels as.
+    pub fn kind(&self) -> FrameKind {
+        match self {
+            Message::Hello(_) => FrameKind::Hello,
+            Message::Synopsis(_) => FrameKind::Synopsis,
+            Message::Delta(_) => FrameKind::Delta,
+            Message::Commit(_) => FrameKind::Commit,
+            Message::Ack(_) => FrameKind::Ack,
+        }
+    }
+}
+
+/// Decode one frame into its typed message and trace context: the CRC
+/// check, the extension block and the payload, each exactly once. A
+/// CRC-valid frame whose payload does not decode as its kind's message is
+/// [`WireError::Codec`].
+pub fn decode_message(frame: Bytes) -> Result<(Message, Option<FrameContext>), WireError> {
+    let (kind, payload, ctx) = decode_frame_parts(frame)?;
+    let message = match kind {
+        FrameKind::Hello => Message::Hello(codec::from_bytes(&payload)?),
+        FrameKind::Synopsis => Message::Synopsis(codec::from_bytes(&payload)?),
+        FrameKind::Delta => Message::Delta(codec::from_bytes(&payload)?),
+        FrameKind::Commit => Message::Commit(codec::from_bytes(&payload)?),
+        FrameKind::Ack => Message::Ack(codec::from_bytes(&payload)?),
+    };
+    Ok((message, ctx))
+}
+
 /// Decode a frame's payload into `T` after CRC verification.
 pub fn decode_payload<T: DeserializeOwned>(frame: Bytes) -> Result<(FrameKind, T), WireError> {
     let (kind, payload) = decode_frame(frame)?;
@@ -398,7 +444,6 @@ mod tests {
         for kind in [
             FrameKind::Hello,
             FrameKind::Synopsis,
-            FrameKind::Flush,
             FrameKind::Delta,
             FrameKind::Commit,
             FrameKind::Ack,
@@ -407,6 +452,38 @@ mod tests {
             let (k, _payload) = decode_frame(frame).unwrap();
             assert_eq!(k, kind);
         }
+    }
+
+    #[test]
+    fn kind_byte_3_is_unassigned() {
+        // Rewrite the kind byte; the CRC check runs after the kind check.
+        let mut frame = encode_frame(FrameKind::Synopsis, &1u8).unwrap().to_vec();
+        frame[4] = 3;
+        assert_eq!(frame_size_hint(&frame), Err(WireError::BadKind(3)));
+        assert_eq!(
+            decode_frame(Bytes::from(frame)).unwrap_err(),
+            WireError::BadKind(3)
+        );
+    }
+
+    #[test]
+    fn messages_round_trip_with_their_context() {
+        let commit = EpochCommit {
+            site: 3,
+            epoch: 9,
+            deltas: 2,
+        };
+        let frame = encode_frame_traced(FrameKind::Commit, &commit, Some(&ctx(1, 2, 3))).unwrap();
+        match decode_message(frame).unwrap() {
+            (Message::Commit(back), got) => {
+                assert_eq!(back, commit);
+                assert_eq!(got, Some(ctx(1, 2, 3)));
+            }
+            other => panic!("expected a commit, got {other:?}"),
+        }
+        // CRC-valid, but the payload is no delta.
+        let bad = encode_frame(FrameKind::Delta, &0u8).unwrap();
+        assert!(matches!(decode_message(bad), Err(WireError::Codec(_))));
     }
 
     #[test]

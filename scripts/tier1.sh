@@ -39,7 +39,7 @@ cargo run --release -q -p setstream-analyze
 # Waiver ratchet: the count of `// analyze: allow(...)` escape hatches may
 # only go down. Fix the finding instead of waiving it; when you retire
 # waivers, lower the budget to match.
-WAIVER_BUDGET=55
+WAIVER_BUDGET=54
 waivers=$(cargo run --release -q -p setstream-analyze -- --waivers)
 echo "    analyze waivers: ${waivers} (budget ${WAIVER_BUDGET})"
 if [[ "${waivers}" -gt "${WAIVER_BUDGET}" ]]; then
@@ -67,6 +67,12 @@ scripts/serve_smoke.sh
 
 echo "==> networked collection smoke (serve --listen + remote site over TCP)"
 scripts/net_smoke.sh
+
+# The epoch-cycle benchmark builds against the workspace crates by path,
+# so a renamed public name it uses must fail here, not in the benchmark
+# run. Its self-test is cheap (no timed runs); it is not a bench step.
+echo "==> epochbench self-test (builds the benchmark against these crates)"
+cargo test --locked --offline -q --manifest-path epochbench/Cargo.toml
 
 if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     echo "==> ingest smoke bench (quick)"

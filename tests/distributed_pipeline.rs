@@ -62,8 +62,8 @@ fn distributed_equals_centralized_exactly() {
         }
     }
     let coord = Coordinator::new(fam);
-    for site in &sites {
-        for frame in site.snapshot_frames().unwrap() {
+    for site in &mut sites {
+        for frame in site.cut_epoch().unwrap().frames {
             coord.ingest_frame(&frame).unwrap();
         }
     }
@@ -111,8 +111,8 @@ fn frames_survive_reordering_and_duplication_is_detected_by_value() {
         }
     }
     let mut frames: Vec<Bytes> = Vec::new();
-    for site in &sites {
-        frames.extend(site.snapshot_frames().unwrap());
+    for site in &mut sites {
+        frames.extend(site.cut_epoch().unwrap().frames);
     }
 
     let forward = Coordinator::new(fam);
@@ -137,10 +137,10 @@ fn corrupted_and_truncated_frames_never_reach_the_merger() {
     for e in 0..200u64 {
         site.observe(&Update::insert(StreamId(0), e, 1));
     }
-    let frames = site.snapshot_frames().unwrap();
+    let frames = site.cut_epoch().unwrap().frames;
     let coord = Coordinator::new(fam);
 
-    // Bit flips across the synopsis frame.
+    // Bit flips across the (first delta) synopsis frame.
     let synopsis = &frames[1];
     let mut rng = StdRng::seed_from_u64(5);
     for _ in 0..32 {
@@ -173,22 +173,22 @@ fn wire_overhead_is_small() {
 fn late_site_with_wrong_coins_is_quarantined() {
     let fam = family();
     let coord = Coordinator::new(fam);
-    let good = {
+    let mut good = {
         let mut s = Site::new(1, fam);
         s.observe(&Update::insert(StreamId(0), 7, 1));
         s
     };
-    let bad = {
+    let mut bad = {
         let other = SketchFamily::builder().copies(128).second_level(16).seed(1).build();
         let mut s = Site::new(2, other);
         s.observe(&Update::insert(StreamId(0), 7, 1));
         s
     };
-    for f in good.snapshot_frames().unwrap() {
+    for f in good.cut_epoch().unwrap().frames {
         coord.ingest_frame(&f).unwrap();
     }
     let mut rejections = 0;
-    for f in bad.snapshot_frames().unwrap() {
+    for f in bad.cut_epoch().unwrap().frames {
         if coord.ingest_frame(&f).is_err() {
             rejections += 1;
         }
